@@ -10,19 +10,21 @@ Produces a self-contained translation unit with:
   statements run.  A single loaded shared object can therefore serve
   many independent requests: calling ``_init`` between runs is
   equivalent to a fresh process image;
-* ``void <name>_step(const T* in..., T* out...)`` with the step body;
-* batched entry points ``<name>_init_batch`` / ``<name>_step_batch``
-  (``int64_t nb`` + pointers for input/output/state/temp arrays holding
-  ``nb`` consecutive instances each, ``max(size, 1)`` elements per
-  instance) evaluating ``nb`` independent model instances per call.
-  Unlike the singleton entries, batched state lives in *caller* arrays —
-  the file-scope statics are untouched, so batched runs of two VMs over
-  one loaded image can never alias (``const`` tables stay shared statics:
-  they are read-only).  Bodies are the program's statements with every
-  non-const access rewritten to ``index + __b * stride`` inside a loop
-  over instances; §5 generic-function calls are inlined first
-  (:func:`repro.ir.batch.inline_calls`) so callee accesses get the same
-  rewrite.  One compiled object therefore serves any batch size.
+* ``void <name>_step(const T* in..., T* out...)`` with the step body —
+  the paper's code shape, and what :mod:`repro.native.compile` times;
+* ``void <name>_run(int64_t nb, int64_t steps, int64_t init,
+  void *const *bufs)``, the one in-process entry point
+  (:mod:`repro.native.sharedlib`).  ``bufs`` points at the caller's
+  input/output/state/temp arrays of ``nb`` consecutive instances each
+  (``max(size, 1)`` elements per instance); per instance it resets when
+  ``init`` is set and runs ``steps`` steps, the loops in C.  State lives
+  in the caller's arrays, so two callers over one loaded image never
+  share it (``const`` tables stay shared statics: they are read-only).
+  The body is the program's statements verbatim over ``restrict``
+  pointer parameters that shadow the statics; §5 generic-function calls
+  are inlined first (:func:`repro.ir.batch.inline_calls`) so callee
+  accesses resolve to those parameters too.  One compiled object serves
+  any batch size.
 
 The emitted source compiles with the sandbox's ``gcc -std=c11 -O3`` and is
 exercised end-to-end by :mod:`repro.native`.
@@ -221,19 +223,8 @@ def emit_c(program: Program) -> str:
     # program.init.  Repeated _init calls on one loaded image must be
     # indistinguishable from a fresh process start.
     lines.append(f"void {program.name}_init(void) {{")
-    for kind in ("state", "temp"):
-        for decl in program.buffers_of_kind(kind):
-            if decl.init is None:
-                lines.append(f"    memset({decl.name}, 0, "
-                             f"sizeof {decl.name});")
-                continue
-            values = np.asarray(decl.init, dtype=decl.dtype).ravel()
-            for i, v in enumerate(values):
-                literal = _c_literal(v.item() if hasattr(v, "item") else v,
-                                     decl.dtype)
-                lines.append(f"    {decl.name}[{i}] = {literal};")
-    for stmt in program.init:
-        lines.extend(emit_stmt(stmt, 1))
+    lines.extend(_reset_lines(program, program.init, indent=1,
+                              per_instance=False))
     lines.append("}")
     lines.append("")
 
@@ -248,87 +239,87 @@ def emit_c(program: Program) -> str:
         lines.extend(emit_stmt(stmt, 1))
     lines.append("}")
     lines.append("")
-    lines.extend(_emit_batch_entries(program))
+    lines.extend(_emit_run_entry(program))
     return "\n".join(lines)
 
 
-#: Buffer kinds that become per-instance parameters of the batched entry
-#: points, in ABI order (const tables stay shared file-scope statics).
-_BATCH_PARAM_KINDS = ("input", "output", "state", "temp")
+def _reset_lines(program: Program, init: list[Stmt], indent: int,
+                 per_instance: bool) -> list[str]:
+    """Full reset of every state/temp buffer, then the ``init`` statements.
 
-
-def _emit_batch_entries(program: Program) -> list[str]:
-    """Emit ``<name>_init_batch`` / ``<name>_step_batch``.
-
-    Both take ``(int64_t nb, <pointers>)`` with one pointer per
-    input/output/state/temp buffer, each an array of ``nb`` instances of
-    ``max(size, 1)`` elements.  State/temp parameter names shadow the
-    file-scope statics, so the rewritten bodies resolve every access to
-    the caller's arrays.  ``init_batch`` performs the same full reset as
-    ``_init``, per instance, before replaying the program's init
-    statements.
+    Over file-scope statics ``sizeof name`` is the whole array; over one
+    instance's pointer parameter the size must be spelled out.
     """
-    from repro.ir.batch import (batch_stride, fresh_batch_var, inline_calls,
-                                offset_stmt, BatchUnsupported)
-
-    params: list[str] = [f"int64_t {program.name}__nb"]
-    nb = f"{program.name}__nb"
-    for kind in _BATCH_PARAM_KINDS:
-        for decl in program.buffers_of_kind(kind):
-            qualifier = "const " if kind == "input" else ""
-            params.append(f"{qualifier}{c_type(decl.dtype)}* {decl.name}")
-
-    bvar = fresh_batch_var(program)
-    strides = {decl.name: batch_stride(decl)
-               for kind in _BATCH_PARAM_KINDS
-               for decl in program.buffers_of_kind(kind)}
-    try:
-        init_body = inline_calls(program.init, program)
-        step_body = inline_calls(program.step, program)
-    except BatchUnsupported as exc:
-        raise CodegenError(f"cannot emit batched entry points: {exc}") from exc
-
-    def batch_loop(inner: list[str], prologue: list[str]) -> list[str]:
-        if not inner:
-            return prologue
-        return prologue + [
-            f"    for (int64_t {bvar} = 0; {bvar} < {nb}; {bvar}++) {{",
-            *inner,
-            "    }",
-        ]
-
+    pad = "    " * indent
     lines: list[str] = []
-    signature = ", ".join(params)
-
-    lines.append(f"void {program.name}_init_batch({signature}) {{")
-    prologue: list[str] = []
-    replay: list[str] = []
     for kind in ("state", "temp"):
         for decl in program.buffers_of_kind(kind):
-            stride = batch_stride(decl)
             if decl.init is None:
-                prologue.append(
-                    f"    memset({decl.name}, 0, (size_t){nb} * {stride}"
-                    f" * sizeof *{decl.name});")
+                size = (f"{max(decl.size, 1)} * sizeof *{decl.name}"
+                        if per_instance else f"sizeof {decl.name}")
+                lines.append(f"{pad}memset({decl.name}, 0, {size});")
                 continue
             values = np.asarray(decl.init, dtype=decl.dtype).ravel()
             for i, v in enumerate(values):
                 literal = _c_literal(v.item() if hasattr(v, "item") else v,
                                      decl.dtype)
-                replay.append(f"        {decl.name}"
-                              f"[{i} + ({bvar} * {stride})] = {literal};")
-    inner = list(replay)
-    for stmt in init_body:
-        inner.extend(emit_stmt(offset_stmt(stmt, bvar, strides), 2))
-    lines.extend(batch_loop(inner, prologue))
-    lines.append("}")
-    lines.append("")
+                lines.append(f"{pad}{decl.name}[{i}] = {literal};")
+    for stmt in init:
+        lines.extend(emit_stmt(stmt, indent))
+    return lines
 
-    lines.append(f"void {program.name}_step_batch({signature}) {{")
-    inner = []
+
+#: Buffer kinds that ``<name>_run`` takes per instance, in pointer-table
+#: order (const tables stay shared file-scope statics: they are read-only).
+RUN_PARAM_KINDS = ("input", "output", "state", "temp")
+
+
+def _emit_run_entry(program: Program) -> list[str]:
+    """Emit ``void <name>_run(int64_t nb, int64_t steps, int64_t init,
+    void *const *bufs)``.
+
+    ``bufs`` holds one pointer per input/output/state/temp buffer in
+    :data:`RUN_PARAM_KINDS` order, each to ``nb`` consecutive instances of
+    ``max(size, 1)`` elements.  For each instance the entry calls a
+    ``static`` body whose ``restrict`` parameters shadow the file-scope
+    statics, so the program's statements run verbatim over that
+    instance.  ``restrict`` tells the compiler what the statics told it
+    for ``_step``: no two buffers alias.  The body resets (as ``_init``
+    does) when ``init`` is set, then runs ``steps`` steps.  §5 calls are
+    inlined first (:func:`repro.ir.batch.inline_calls`): a callee
+    addresses buffers it is not passed through the file-scope statics.
+    """
+    from repro.ir.batch import BatchUnsupported, fresh_batch_var, inline_calls
+
+    try:
+        init_body = inline_calls(program.init, program)
+        step_body = inline_calls(program.step, program)
+    except BatchUnsupported as exc:
+        raise CodegenError(f"cannot emit {program.name}_run: {exc}") from exc
+    decls = [decl for kind in RUN_PARAM_KINDS
+             for decl in program.buffers_of_kind(kind)]
+    steps, init, s = (fresh_batch_var(program, f"__{base}")
+                      for base in ("steps", "init", "s"))
+    params = [f"int64_t {steps}", f"int64_t {init}"]
+    args = []
+    for i, decl in enumerate(decls):
+        const = "const " if decl.kind == "input" else ""
+        ctype = f"{const}{c_type(decl.dtype)}"
+        params.append(f"{ctype} *restrict {decl.name}")
+        args.append(f"({ctype} *)bufs[{i}] + b * {max(decl.size, 1)}")
+    body = f"{program.name}__instance"
+    call = ",\n            ".join(["steps", "init", *args])
+    lines = [f"static void {body}({', '.join(params)}) {{",
+             f"    if ({init}) {{",
+             *_reset_lines(program, init_body, indent=2, per_instance=True),
+             "    }",
+             f"    for (int64_t {s} = 0; {s} < {steps}; {s}++) {{"]
     for stmt in step_body:
-        inner.extend(emit_stmt(offset_stmt(stmt, bvar, strides), 2))
-    lines.extend(batch_loop(inner, []))
-    lines.append("}")
-    lines.append("")
+        lines.extend(emit_stmt(stmt, 2))
+    lines += ["    }", "}", "",
+              f"void {program.name}_run(int64_t nb, int64_t steps, "
+              f"int64_t init, void *const *bufs) {{",
+              "    for (int64_t b = 0; b < nb; b++) {",
+              f"        {body}({call});",
+              "    }", "}", ""]
     return lines

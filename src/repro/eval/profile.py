@@ -94,7 +94,7 @@ def profile_program(code, inputs, steps: int = 1,
     ]
     totals: dict[str, ContextCounts] = {}
     env: dict[str, int] = {}
-    vm._init_fn(env)
+    vm._advance(0)  # init only
     for _ in range(steps):
         for label, fn in compiled:
             before = _snapshot(vm.counts)

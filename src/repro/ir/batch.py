@@ -36,8 +36,8 @@ Programs using the §5 generic-function interface (``CallStmt``) are
 refused with :class:`BatchUnsupported` — inlining the callees would
 change dynamic counts, breaking the exact-counts contract — and the VM
 falls back to B sequential runs (correct and exact, just not faster).
-The *native* backend has no such restriction: its batched C entry points
-(:func:`repro.codegen.ctext.emit_c`) inline callees with
+The *native* backend has no such restriction: its ``<name>_run`` C entry
+(:func:`repro.codegen.ctext.emit_c`) inlines callees with
 :func:`inline_calls` below, because native counts are analytic
 (``staticcount`` × B) rather than derived from execution.
 
@@ -241,9 +241,10 @@ def inline_calls(stmts: list[Stmt], program: Program,
                  _depth: int = 0) -> list[Stmt]:
     """Expand every ``CallStmt`` into its callee's body (pure; new nodes).
 
-    Used by the native batch emitter, where a per-instance base-pointer
-    call would go wrong the moment a callee touches a program buffer that
-    is not among its parameters.  Inlining sidesteps the question:
+    Used by the native ``<name>_run`` emitter, whose per-instance body
+    would go wrong the moment a callee touches a program buffer that is
+    not among its parameters (the callee would reach the file-scope
+    static, not the instance).  Inlining sidesteps the question:
 
     * callee loop variables are renamed to fresh ``__f<N>`` names so that
       scalar-argument expressions referencing call-site loop variables

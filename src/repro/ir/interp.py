@@ -286,23 +286,18 @@ class VirtualMachine:
       makes the numpy dispatch overhead worthwhile (native stays opt-in;
       ``"auto"`` never selects it);
     * ``"native"`` — compile the emitted C into a reusable shared object
-      (:mod:`repro.native.sharedlib`) and call ``<name>_step`` in-process
-      with zero-copy pointers into this VM's input/output buffers.
-      State lives inside the library; ``<name>_init`` performs a full
-      reset, so :meth:`run`'s reset semantics are preserved.  Requires a
-      C toolchain — a missing compiler or failed build raises
+      (:mod:`repro.native.sharedlib`) and call its one ``<name>_run``
+      entry in-process over zero-copy pointers into this VM's own
+      input/output/state/temp buffers.  State lives in the VM, as on
+      every other backend, so native VMs over one loaded ``.so`` are
+      independent objects.  One call runs init (after a reset) and all of
+      :meth:`run`'s steps with the loop in C, and the static counts are
+      applied once per call.  Requires a C toolchain — a missing
+      compiler or failed build raises
       :class:`~repro.errors.NativeToolchainError`, never a silent
       fallback.  ``so_cache_dir`` points at a persistent ``.so`` store
       (the serve layer passes its artifact cache's ``native_dir``); a
       warm entry skips both code generation and the C compiler.
-
-      **Shared-image caveat.**  ``dlopen`` yields one image per path per
-      process, so two live native VMs over the same program alias one
-      set of C static state — unlike closure/vector VMs, which are fully
-      independent objects.  :meth:`run` is still safe on either VM (it
-      re-``init``\\ s first), but *interleaving* their raw :meth:`step`
-      calls is undefined; binding a second live VM to the same image
-      raises a :class:`RuntimeWarning`.
 
     All backends produce bitwise-identical outputs.  Closure/vector/auto
     also record identical :class:`ContextCounts`; vector-kernel counts
@@ -385,9 +380,7 @@ class VirtualMachine:
                                                cache_dir=so_cache_dir)
             self._static = analyze_counts(program)
             self.counts_exact = self._static.exact
-            self._native_args = self._shared.bind(self._buffers, owner=self)
-            self._init_fn = self._native_init
-            self._step_fn = self._native_step
+            self._native_table = self._shared.bind(self._buffers)
         else:
             self._init_fn = self._compile_body(program.init,
                                                self.counts.scalar)
@@ -400,8 +393,6 @@ class VirtualMachine:
                 # A windowed ring must start every step holding the zeros
                 # its never-written logical cells stand for (the native
                 # backend emits the same zeroing inside the lowered step).
-                # Wrapping _step_fn — not step() — keeps _run_profiled,
-                # which calls _step_fn directly, on the same semantics.
                 inner_step = self._step_fn
 
                 def step_with_ring_reset(env: dict) -> None:
@@ -411,13 +402,29 @@ class VirtualMachine:
                 self._step_fn = step_with_ring_reset
         self._initialized = False
 
-    def _native_init(self, env: dict) -> None:
-        self._shared.init()
-        self._static.apply(self.counts, self._static.init)
+    def _advance(self, steps: int) -> None:
+        """Run init (once per reset), then ``steps`` steps."""
+        init = not self._initialized
+        if self.backend == "native":
+            self._native_run(self._native_table, 1, steps, init, self.counts)
+        else:
+            env: dict[str, int] = {}
+            if init:
+                self._init_fn(env)
+            for _ in range(steps):
+                self._step_fn(env)
+        self._initialized = True
 
-    def _native_step(self, env: dict) -> None:
-        self._shared.step(self._native_args)
-        self._static.apply(self.counts, self._static.step)
+    def _native_run(self, table, nb: int, steps: int, init: bool,
+                    counts: ContextCounts) -> None:
+        """One ``<name>_run`` call: ``nb`` instances, each reset when
+        ``init`` is set and then stepped ``steps`` times, with the loops
+        in C.  Static counts do not vary by step, so they are applied
+        once: ``init × nb + step × steps × nb``."""
+        self._shared.run(nb, steps, init, table)
+        if init:
+            self._static.apply(counts, self._static.init, factor=nb)
+        self._static.apply(counts, self._static.step, factor=steps * nb)
 
     # -- public API --------------------------------------------------------
 
@@ -457,11 +464,7 @@ class VirtualMachine:
 
     def step(self) -> None:
         """Run init (once per reset) and one step of the program."""
-        env: dict[str, int] = {}
-        if not self._initialized:
-            self._init_fn(env)
-            self._initialized = True
-        self._step_fn(env)
+        self._advance(1)
 
     def outputs(self) -> dict[str, np.ndarray]:
         result: dict[str, np.ndarray] = {}
@@ -503,11 +506,10 @@ class VirtualMachine:
                 self.reset()
                 self.set_inputs(inputs)
                 prof = _vmprofile.active()
-                if prof is None:
-                    for _ in range(steps):
-                        self.step()
-                else:
+                if prof is not None:
                     self._run_profiled(prof, steps)
+                elif steps > 0:
+                    self._advance(steps)
                 peak = sum(arr.nbytes for arr in self._buffers.values())
                 return ExecResult(self.outputs(), self.counts.copy(), peak)
         finally:
@@ -517,14 +519,10 @@ class VirtualMachine:
         """:meth:`run`'s stepping loop with the init/step split timed
         into the active :class:`~repro.obs.vmprofile.VMStageProfile`."""
         import time as _time
-        env: dict[str, int] = {}
         t0 = _time.perf_counter()
-        if not self._initialized:
-            self._init_fn(env)
-            self._initialized = True
+        self._advance(0)
         t1 = _time.perf_counter()
-        for _ in range(steps):
-            self._step_fn(env)
+        self._advance(steps)
         prof.record(self.backend, init_seconds=t1 - t0,
                     step_seconds=_time.perf_counter() - t1, steps=steps)
 
@@ -546,9 +544,9 @@ class VirtualMachine:
         semantically identical to B separate :meth:`run` calls, but
         amortized: the vector/auto backends execute a batch-expanded
         program whose kernels span instances
-        (:mod:`repro.ir.batch`), and the native backend calls the
-        ``<name>_step_batch`` entry point once per step for the whole
-        batch.  Outputs are bit-for-bit equal to the sequential runs on
+        (:mod:`repro.ir.batch`), and the native backend makes one
+        ``<name>_run`` call for the whole batch and all its steps.
+        Outputs are bit-for-bit equal to the sequential runs on
         every backend; aggregate counts equal their sum whenever
         ``counts_exact`` is True.
 
@@ -792,23 +790,22 @@ class VirtualMachine:
         return BatchResult(outputs, counts, self.counts_exact, peak)
 
     def _run_batch_native(self, validated, steps, peak):
-        """Native path: one ``<name>_init_batch`` + ``steps`` calls of
-        ``<name>_step_batch`` over arrays-of-instances; counts are the
-        static per-instance analysis scaled ×B."""
+        """Native path: one ``<name>_run`` call over arrays-of-instances;
+        counts are the static per-instance analysis scaled ×B."""
+        from repro.codegen.ctext import RUN_PARAM_KINDS
         batch = len(validated)
         entry = self._batch_native.pop(batch, None)
         if entry is None:
-            arrays: dict[str, np.ndarray] = {}
-            for kind in ("input", "output", "state", "temp"):
-                for decl in self.program.buffers_of_kind(kind):
-                    arrays[decl.name] = np.zeros(
-                        batch * max(decl.storage_size, 1), dtype=decl.dtype)
-            entry = (arrays, self._shared.bind_batch(arrays, batch))
+            arrays = {decl.name: np.zeros(batch * max(decl.storage_size, 1),
+                                          dtype=decl.dtype)
+                      for kind in RUN_PARAM_KINDS
+                      for decl in self.program.buffers_of_kind(kind)}
+            entry = (arrays, self._shared.bind(arrays, batch))
         self._batch_native[batch] = entry
         while len(self._batch_native) > self._BATCH_NATIVE_MEMO_MAX:
             del self._batch_native[next(iter(self._batch_native))]
-        arrays, args = entry
-        # init_batch resets per-instance state/temp inside the library;
+        arrays, table = entry
+        # <name>_run resets per-instance state/temp itself;
         # inputs and outputs live in our arrays and are reset here, matching
         # run()'s reset-to-declared-initial semantics.
         for kind in ("input", "output"):
@@ -823,12 +820,8 @@ class VirtualMachine:
                     for b, inst in enumerate(validated):
                         if decl.name in inst:
                             view[b, :decl.size] = inst[decl.name]
-        self._shared.init_batch(batch, args)
-        for _ in range(steps):
-            self._shared.step_batch(batch, args)
         counts = ContextCounts()
-        self._static.apply(counts, self._static.init, factor=batch)
-        self._static.apply(counts, self._static.step, factor=batch * steps)
+        self._native_run(table, batch, steps, True, counts)
         outputs = []
         for b in range(batch):
             inst_out = {}

@@ -7,20 +7,17 @@ paper's own artifact (compiled C at ``-O3``) the serving fast path:
 
 * the emitted translation unit is built **once** per (program content,
   compiler identity, flags) into ``<key>.so`` (``-fPIC -shared``);
-* the library is loaded in-process with :mod:`ctypes` and the
-  ``<name>_step`` signature is bound from the program's
-  :class:`~repro.ir.ops.BufferDecl` order — inputs first, outputs second,
-  exactly as :func:`repro.codegen.ctext.emit_c` declares it;
-* each call passes **zero-copy** pointers into the caller's C-contiguous
-  numpy buffers — no marshalling, no subprocess, no stdout parsing;
-* ``<name>_init`` performs a full state reset (initializers replayed,
-  uninitialized state/temp memset to zero), so one loaded library serves
-  many independent requests;
-* the batched entry points ``<name>_init_batch``/``<name>_step_batch``
-  (ABI v2) evaluate ``nb`` independent instances per call over caller
-  arrays-of-instances — state and temp live in those arrays rather than
-  the image's statics, so one ``.so`` serves **any** batch size and
-  batched runs never touch shared static state.
+* the library is loaded in-process with :mod:`ctypes` and only its
+  ``<name>_run(nb, steps, init, bufs)`` entry is bound (ABI v3, see
+  :func:`repro.codegen.ctext.emit_c`);
+* ``bufs`` is a table of **zero-copy** pointers into the caller's
+  C-contiguous numpy buffers (input, output, state, temp), built once
+  per buffer set by :meth:`SharedProgram.bind` — no marshalling, no
+  subprocess, no stdout parsing, and four arguments per call;
+* state lives in the caller's arrays, not in the image, so any number
+  of VMs and batch sizes share one loaded ``.so`` without sharing state;
+* one call resets (``init``) and runs ``steps`` steps of ``nb``
+  instances, with both loops in C.
 
 Artifacts are content-addressed.  The key covers the program fingerprint
 (:func:`repro.ir.vectorize.fingerprint`), the **compiler identity**
@@ -31,16 +28,6 @@ its source, and build metadata persist across processes: a restarted
 server skips both code generation and the C compiler.  Without one, the
 library is built in a private temp directory that is deleted right after
 ``dlopen`` (POSIX keeps the mapping alive).
-
-Sharing caveat (documented contract): ``dlopen`` of one path returns one
-image per process, so every :class:`SharedProgram` for the same cached
-``.so`` shares the library's static state.  That is safe under the VM
-contract — :meth:`repro.ir.interp.VirtualMachine.run` resets (re-``init``)
-before executing, and a VM is not reentrant anyway — but interleaving
-raw ``step()`` calls of two VMs over the same program is undefined, just
-as sharing one VM object across threads already is.  Binding a second
-live VM to one image therefore raises a :class:`RuntimeWarning` (see
-:meth:`SharedProgram.bind`).
 
 Failure is loud: a missing compiler or failed build raises
 :class:`~repro.errors.NativeToolchainError`.  There is no silent
@@ -57,14 +44,13 @@ import shutil
 import subprocess
 import tempfile
 import threading
-import warnings
-import weakref
 from dataclasses import dataclass
 from pathlib import Path
 from typing import Mapping, Optional, Sequence
 
 import numpy as np
 
+from repro.codegen.ctext import RUN_PARAM_KINDS
 from repro.errors import NativeToolchainError
 from repro.ir.ops import BufferDecl, Program
 from repro.obs import tracing
@@ -79,18 +65,9 @@ SHARED_FLAGS: tuple[str, ...] = ("-fPIC", "-shared")
 #: Bump when the emitted-C contract changes incompatibly (entry-point
 #: names, signature order, init semantics); old cached ``.so`` files
 #: become misses instead of ABI mismatches.
-#: v2: added ``<name>_init_batch`` / ``<name>_step_batch`` entry points
-#: (``int64_t nb`` + per-instance input/output/state/temp arrays).
-SHARED_ABI_VERSION = 2
-
-_POINTER_TYPES = {
-    "float64": ctypes.POINTER(ctypes.c_double),
-    "uint32": ctypes.POINTER(ctypes.c_uint32),
-    "int64": ctypes.POINTER(ctypes.c_int64),
-    "bool": ctypes.POINTER(ctypes.c_bool),
-    # ctypes has no C99 complex; the data pointer is passed untyped.
-    "complex128": ctypes.c_void_p,
-}
+#: v2: added ``<name>_init_batch`` / ``<name>_step_batch`` entry points.
+#: v3: one ``<name>_run(nb, steps, init, bufs)`` entry over caller state.
+SHARED_ABI_VERSION = 3
 
 
 def shared_cache_key(program_fingerprint: str, identity: CompilerIdentity,
@@ -124,12 +101,12 @@ class BuildInfo:
 
 
 class SharedProgram:
-    """A loaded ``.so`` with ``_init``/``_step`` bound to the program ABI.
+    """A loaded ``.so`` with ``<name>_run`` bound to the program ABI.
 
-    ``step()`` takes the caller's buffer mapping (name -> 1-D numpy
-    array) and passes raw data pointers — zero copies in either
-    direction.  Buffers must be C-contiguous and dtype-exact; the VM's
-    own buffers always are, so the checks run once at bind time.
+    :meth:`bind` turns the caller's buffer mapping (name -> 1-D numpy
+    array of ``nb`` instances) into a pointer table once; :meth:`run`
+    then passes that table with no per-call conversion.  Buffers must be
+    C-contiguous and dtype-exact; the VM's own buffers always are.
     """
 
     def __init__(self, program: Program, path: Path, *,
@@ -139,126 +116,47 @@ class SharedProgram:
         self.from_cache = from_cache
         self.build_seconds = build_seconds
         self.info = info
-        self._in_decls: list[BufferDecl] = program.buffers_of_kind("input")
-        self._out_decls: list[BufferDecl] = program.buffers_of_kind("output")
-        # Batched-entry decls in ABI order (matches ctext's
-        # _BATCH_PARAM_KINDS): input, output, state, temp.
-        self._batch_decls: list[BufferDecl] = [
+        self._decls: list[BufferDecl] = [
             decl
-            for kind in ("input", "output", "state", "temp")
+            for kind in RUN_PARAM_KINDS
             for decl in program.buffers_of_kind(kind)
         ]
-        # Live owners (VMs) bound to this image — used to surface the
-        # shared-static-state caveat (module docstring) the moment a
-        # second concurrent owner appears, instead of leaving interleaved
-        # step() undefined-ness silent.
-        self._binders: "weakref.WeakSet" = weakref.WeakSet()
         try:
             self._lib = ctypes.CDLL(str(self.path))
-            self._init = getattr(self._lib, f"{program.name}_init")
-            self._step = getattr(self._lib, f"{program.name}_step")
-            self._init_batch = getattr(self._lib,
-                                       f"{program.name}_init_batch")
-            self._step_batch = getattr(self._lib,
-                                       f"{program.name}_step_batch")
+            self._run = getattr(self._lib, f"{program.name}_run")
         except (OSError, AttributeError) as exc:
             raise NativeToolchainError(
                 f"cannot load shared object {self.path}: {exc}") from exc
-        self._init.restype = None
-        self._init.argtypes = []
-        self._step.restype = None
-        self._step.argtypes = [
-            _POINTER_TYPES[d.dtype]
-            for d in (*self._in_decls, *self._out_decls)
-        ]
-        batch_argtypes = [ctypes.c_int64] + [
-            _POINTER_TYPES[d.dtype] for d in self._batch_decls
-        ]
-        for fn in (self._init_batch, self._step_batch):
-            fn.restype = None
-            fn.argtypes = batch_argtypes
+        self._run.restype = None
+        self._run.argtypes = [ctypes.c_int64, ctypes.c_int64, ctypes.c_int64,
+                              ctypes.POINTER(ctypes.c_void_p)]
 
-    def bind(self, buffers: Mapping[str, np.ndarray],
-             owner: object = None) -> list:
-        """Precompute the ctypes argument list for ``step`` over fixed
-        buffers (the VM's arrays are allocated once and never replaced,
-        so pointer extraction happens exactly once per VM).
-
-        Pass the binding VM as ``owner``: when a second owner binds while
-        an earlier one is still alive, a :class:`RuntimeWarning` flags
-        that both share this image's static state (interleaving their raw
-        ``step()`` calls is undefined; ``run()`` stays safe because it
-        re-``init``\\ s first).
-        """
-        if owner is not None:
-            if len(self._binders):
-                warnings.warn(
-                    f"multiple live native VMs share the loaded image "
-                    f"{self.path.name}: they alias one set of C static "
-                    f"state, so interleaving their step() calls is "
-                    f"undefined (run() is safe — it re-inits first)",
-                    RuntimeWarning, stacklevel=3)
-            self._binders.add(owner)
-        args = []
-        for decl in (*self._in_decls, *self._out_decls):
-            arr = buffers[decl.name]
-            if not isinstance(arr, np.ndarray) or arr.dtype != decl.dtype \
-                    or not arr.flags["C_CONTIGUOUS"] \
-                    or arr.size != max(decl.size, 1):
-                raise NativeToolchainError(
-                    f"buffer {decl.name!r} must be a C-contiguous "
-                    f"{decl.dtype} array of {max(decl.size, 1)} elements")
-            ptype = _POINTER_TYPES[decl.dtype]
-            if ptype is ctypes.c_void_p:
-                args.append(ctypes.c_void_p(arr.ctypes.data))
-            else:
-                args.append(arr.ctypes.data_as(ptype))
-        return args
-
-    def bind_batch(self, buffers: Mapping[str, np.ndarray],
-                   nb: int) -> list:
-        """Argument list for the batched entry points over fixed arrays.
+    def bind(self, buffers: Mapping[str, np.ndarray], nb: int = 1):
+        """Pointer table for :meth:`run` over fixed arrays.
 
         ``buffers`` maps each input/output/state/temp buffer name to a
         flat C-contiguous array of ``nb`` consecutive instances
-        (``nb * max(size, 1)`` elements).  Unlike :meth:`bind`, no owner
-        registration happens: batched state lives entirely in the
-        caller's arrays — the image's static state is untouched, so
-        concurrent-VM aliasing cannot arise.
+        (``nb * max(size, 1)`` elements).  The table holds raw addresses:
+        the caller keeps the arrays alive, unmoved, while it uses it.
         """
-        args = []
-        for decl in self._batch_decls:
+        pointers = []
+        for decl in self._decls:
             arr = buffers[decl.name]
             expected = nb * max(decl.size, 1)
             if not isinstance(arr, np.ndarray) or arr.dtype != decl.dtype \
                     or not arr.flags["C_CONTIGUOUS"] \
                     or arr.size != expected:
                 raise NativeToolchainError(
-                    f"batched buffer {decl.name!r} must be a C-contiguous "
+                    f"buffer {decl.name!r} must be a C-contiguous "
                     f"{decl.dtype} array of {expected} elements "
                     f"({nb} instances)")
-            ptype = _POINTER_TYPES[decl.dtype]
-            if ptype is ctypes.c_void_p:
-                args.append(ctypes.c_void_p(arr.ctypes.data))
-            else:
-                args.append(arr.ctypes.data_as(ptype))
-        return args
+            pointers.append(arr.ctypes.data)
+        return (ctypes.c_void_p * len(pointers))(*pointers)
 
-    def init(self) -> None:
-        """Full state reset: equivalent to loading a fresh image."""
-        self._init()
-
-    def step(self, args: Sequence) -> None:
-        """One step over pre-bound pointers (see :meth:`bind`)."""
-        self._step(*args)
-
-    def init_batch(self, nb: int, args: Sequence) -> None:
-        """Per-instance full reset of ``nb`` instances (caller arrays)."""
-        self._init_batch(ctypes.c_int64(nb), *args)
-
-    def step_batch(self, nb: int, args: Sequence) -> None:
-        """One step for each of ``nb`` instances (see :meth:`bind_batch`)."""
-        self._step_batch(ctypes.c_int64(nb), *args)
+    def run(self, nb: int, steps: int, init: bool, table) -> None:
+        """Reset each of ``nb`` instances when ``init`` is set, then run
+        ``steps`` steps of each, over a table from :meth:`bind`."""
+        self._run(nb, steps, init, table)
 
 
 def _build_so(program: Program, source: str, compiler: str,
@@ -344,7 +242,8 @@ def load_shared_program(program: Program, cc: Optional[str] = None,
 
     identity = compiler_identity(cc)
     flags = tuple(flags)
-    key = shared_cache_key(fingerprint(program), identity, flags)
+    program_fp = fingerprint(program)
+    key = shared_cache_key(program_fp, identity, flags)
 
     with _LOADED_LOCK:
         cached = _LOADED.pop(key, None)
@@ -356,7 +255,7 @@ def load_shared_program(program: Program, cc: Optional[str] = None,
     info = BuildInfo(
         key=key,
         program_name=program.name,
-        program_fingerprint=fingerprint(program),
+        program_fingerprint=program_fp,
         compiler_path=identity.path,
         compiler_version_hash=identity.version_hash,
         flags=flags,

@@ -223,8 +223,8 @@ def get_or_compile(model, model_fp: str, generator: str, backend: str,
     the on-disk cache), ``"miss"`` (freshly generated and stored), or
     ``"off"`` (no cache configured).  The stored program is always the
     generator's output — fusion happens in the VM — but ``fuse``
-    participates in the key and in the artifact's stats so the two
-    configurations never share a cache cell.
+    participates in the key so the two configurations never share a
+    cache cell.
     """
     key = artifact_key(model_fp, generator, backend, fuse)
     if cache is not None:
@@ -255,10 +255,6 @@ def get_or_compile(model, model_fp: str, generator: str, backend: str,
                 code.ranges.eliminated_elements(code.analyzed),
         },
     )
-    if fuse:
-        from repro.ir.fuse import fuse_program
-        _, fstats = fuse_program(code.program)
-        artifact.stats["fusion"] = fstats.as_dict()
     if cache is not None:
         with tracing.span("cache.store", cache="artifact", key=key[:12]):
             cache.put(key, artifact)
@@ -293,12 +289,13 @@ def op_compile(req: dict, ctx: "HandlerContext") -> dict:
         "fuse": fuse,
         "stats": dict(artifact.stats),
     }
+    program = artifact.program
+    if fuse:
+        from repro.ir.fuse import fuse_program
+        program, fstats = fuse_program(program)
+        result["stats"]["fusion"] = fstats.as_dict()
     if req.get("include_source"):
         from repro.codegen import emit_c
-        program = artifact.program
-        if fuse:
-            from repro.ir.fuse import fuse_program
-            program, _ = fuse_program(program)
         result["c_source"] = emit_c(program)
     return result
 

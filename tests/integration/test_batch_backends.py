@@ -6,8 +6,8 @@ observationally identical to B independent ``run()`` calls on a fresh VM
 ``ContextCounts`` exactly equal to the sum of the B solo runs whenever
 the backend reports ``counts_exact``.  This suite enforces that on the
 zoo × generator grid for the closure, vector and auto backends, and (when
-a C toolchain is present) for the native backend's ``*_batch`` entry
-points; plus the lifecycle guarantees: batch-VM memo reuse, B=1
+a C toolchain is present) for the native backend's ``<name>_run``
+entry; plus the lifecycle guarantees: batch-VM memo reuse, B=1
 delegation, and non-reentrancy across threads.
 """
 

@@ -6,9 +6,9 @@ interpreter — bit-for-bit equal outputs on every program, and equal
 ``ContextCounts`` whenever the static analysis reports them exact
 (``vm.counts_exact``).  This suite enforces that on the full
 zoo × generator grid, plus the lifecycle guarantees that make one
-compiled ``.so`` safely reusable: ``_init`` resets all state between
-runs, and a warm on-disk cache entry skips code generation and the C
-compiler entirely.
+compiled ``.so`` safely reusable: every run resets the VM-owned state,
+two VMs over one image never share it, and a warm on-disk cache entry
+skips code generation and the C compiler entirely.
 
 Every test auto-skips when no C toolchain is on PATH.
 """
@@ -88,28 +88,37 @@ class TestStatefulReuse:
         np.testing.assert_array_equal(second.outputs[code.output_buffers["y"]],
                                       fresh.outputs[code.output_buffers["y"]])
 
-    def test_two_vms_share_one_image_safely(self, tmp_path):
-        """Two VMs over the same cached .so share the dlopen'd image; the
-        run()-always-resets contract keeps them independent — and binding
-        the second live VM must surface the shared-static-state caveat
-        as a RuntimeWarning."""
+    def test_two_vms_over_one_image_are_independent(self, tmp_path):
+        """Two live native VMs over one loaded .so keep their state in
+        their own buffers: interleaved raw step() calls give each VM the
+        outputs of an isolated VM, and binding the second VM is silent."""
         import warnings
         code = stateful_code()
-        clear_vm_cache()
-        clear_shared_program_cache()  # detach any earlier live binders
+        y = code.output_buffers["y"]
+        xa = code.map_inputs({"u": np.linspace(-1, 1, 6)})
+        xb = code.map_inputs({"u": np.full(6, 9.0)})
+        clear_shared_program_cache()
         with warnings.catch_warnings():
-            warnings.simplefilter("error")  # first bind must be silent
-            vm1 = VirtualMachine(code.program, backend="native",
-                                 so_cache_dir=tmp_path)
-        with pytest.warns(RuntimeWarning, match="share the loaded image"):
-            vm2 = VirtualMachine(code.program, backend="native",
-                                 so_cache_dir=tmp_path)
-        x = code.map_inputs({"u": np.linspace(-1, 1, 6)})
-        out1 = vm1.run(x, steps=4).outputs[code.output_buffers["y"]]
-        vm1.run(code.map_inputs({"u": np.full(6, 9.0)}),
-                steps=2)  # perturb shared state
-        out2 = vm2.run(x, steps=4).outputs[code.output_buffers["y"]]
-        np.testing.assert_array_equal(out1, out2)
+            warnings.simplefilter("error")
+            vm_a = VirtualMachine(code.program, backend="native",
+                                  so_cache_dir=tmp_path)
+            vm_b = VirtualMachine(code.program, backend="native",
+                                  so_cache_dir=tmp_path)
+            assert vm_a._shared is vm_b._shared  # one loaded image
+            pairs = [(vm_a, VirtualMachine(code.program, backend="closure")),
+                     (vm_b, VirtualMachine(code.program, backend="closure"))]
+            for (native, isolated), x in zip(pairs, (xa, xb)):
+                for vm in (native, isolated):
+                    vm.reset()
+                    vm.set_inputs(x)
+            for _ in range(4):
+                for native, isolated in pairs:
+                    native.step()
+                    isolated.step()
+                for native, isolated in pairs:
+                    np.testing.assert_array_equal(native.outputs()[y],
+                                                  isolated.outputs()[y])
+                    assert native.counts == isolated.counts
 
 
 class TestWarmCache:

@@ -248,20 +248,29 @@ def test_profile_vm_records_and_restores():
 
 
 def test_profile_vm_captures_real_vm_run():
+    """The profiled init/step split times a real run on every backend and
+    returns exactly what a plain run does."""
     from repro.codegen import make_generator
     from repro.ir.interp import VirtualMachine
+    from repro.native import find_compiler
     from repro.sim.simulator import random_inputs
     from repro.zoo import build_model
     model = build_model("Motivating")
     code = make_generator("frodo").generate(model)
     inputs = code.map_inputs(random_inputs(model, seed=0))
-    vm = VirtualMachine(code.program)
-    with vmprofile.profile_vm() as prof:
-        vm.run(inputs, steps=3)
-    assert prof.runs == 1
-    assert prof.steps == 3
-    assert prof.step_seconds > 0.0
-    assert prof.backend == vm.backend
+    backends = ["auto"] + (["native"] if find_compiler() else [])
+    for backend in backends:
+        vm = VirtualMachine(code.program, backend=backend)
+        plain = vm.run(inputs, steps=3)
+        with vmprofile.profile_vm() as prof:
+            profiled = vm.run(inputs, steps=3)
+        assert prof.runs == 1
+        assert prof.steps == 3
+        assert prof.step_seconds > 0.0
+        assert prof.backend == vm.backend
+        assert profiled.counts == plain.counts
+        for name, value in plain.outputs.items():
+            assert profiled.outputs[name].tobytes() == value.tobytes()
 
 
 def test_vm_run_emits_span_when_traced():
