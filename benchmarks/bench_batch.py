@@ -119,6 +119,23 @@ def bench_serve_coalescing(quick: bool) -> dict:
             concurrency=8, requests_per_client=5 if quick else 25)
 
 
+def previous_coalescing(path: Path) -> dict | None:
+    """Headline of the serve section in the file about to be replaced,
+    kept in the new one so a policy change shows its before and after."""
+    try:
+        prev = json.loads(path.read_text())
+    except (OSError, ValueError):
+        return None
+    coal = prev.get("serve_coalescing")
+    if not coal:
+        return None
+    return {"timestamp": prev.get("timestamp"),
+            "cpu_count": prev.get("platform", {}).get("cpu_count"),
+            "speedup": coal.get("speedup"),
+            "mean_occupancy": (coal.get("batch_occupancy")
+                               or {}).get("mean_seconds")}
+
+
 def main(argv: list[str] | None = None) -> int:
     parser = argparse.ArgumentParser(
         prog="bench_batch",
@@ -170,6 +187,9 @@ def main(argv: list[str] | None = None) -> int:
 
     out_path = (Path(args.output) if args.output
                 else REPO_ROOT / "BENCH_batch.json")
+    if result["serve_coalescing"]:
+        result["serve_coalescing"]["previous"] = \
+            previous_coalescing(out_path)
     out_path.write_text(json.dumps(result, indent=2) + "\n")
 
     for entry in models:

@@ -279,7 +279,6 @@ def cmd_serve(args) -> None:
                          allow_debug=args.debug_ops,
                          allow_shutdown=not args.no_shutdown_op,
                          max_batch=args.max_batch,
-                         max_batch_wait_ms=args.max_batch_wait_ms,
                          trace_log=args.trace_log,
                          adaptive=args.adaptive,
                          promote_threshold_ms=args.promote_threshold_ms,
@@ -633,12 +632,9 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--no-shutdown-op", action="store_true",
                    help="ignore the protocol-level shutdown op")
     p.add_argument("--max-batch", type=int, default=8,
-                   help="coalesce up to N concurrent compatible run "
-                        "requests into one batched worker call "
-                        "(1 = disable coalescing)")
-    p.add_argument("--max-batch-wait-ms", type=float, default=2.0,
-                   help="max time a run request waits for batch "
-                        "companions before flushing")
+                   help="coalesce up to N compatible run requests that "
+                        "queue behind busy workers into one batched "
+                        "worker call (1 = disable coalescing)")
     p.add_argument("--trace-log", default=None, metavar="PATH",
                    help="trace every request and append finished spans "
                         "to this JSON-lines file")

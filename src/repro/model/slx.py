@@ -31,6 +31,11 @@ from repro.model.graph import Model, SUBSYSTEM_TYPE
 
 BLOCKDIAGRAM_PATH = "simulink/blockdiagram.xml"
 
+#: Largest ``blockdiagram.xml`` :func:`load_slx` decompresses.  A small
+#: upload can otherwise expand to gigabytes (a zip bomb); the zoo's
+#: largest payload is under 32 KiB.
+MAX_BLOCKDIAGRAM_BYTES = 64 * 1024 * 1024
+
 _CONTENT_TYPES = (
     '<?xml version="1.0" encoding="UTF-8"?>\n'
     '<Types xmlns="http://schemas.openxmlformats.org/package/2006/content-types">'
@@ -260,11 +265,23 @@ def load_slx(path: str | Path) -> Model:
     try:
         with zipfile.ZipFile(path) as archive:
             try:
-                payload = archive.read(BLOCKDIAGRAM_PATH)
+                info = archive.getinfo(BLOCKDIAGRAM_PATH)
             except KeyError:
                 raise SlxFormatError(
                     f"{path} does not contain {BLOCKDIAGRAM_PATH}"
                 ) from None
+            if info.file_size > MAX_BLOCKDIAGRAM_BYTES:
+                raise SlxFormatError(
+                    f"{BLOCKDIAGRAM_PATH} in {path} is {info.file_size} "
+                    f"bytes; the limit is {MAX_BLOCKDIAGRAM_BYTES}")
+            # Read at most one byte past the cap, so a header that
+            # understates the size cannot get past the check above.
+            with archive.open(info) as member:
+                payload = member.read(MAX_BLOCKDIAGRAM_BYTES + 1)
+            if len(payload) > MAX_BLOCKDIAGRAM_BYTES:
+                raise SlxFormatError(
+                    f"{BLOCKDIAGRAM_PATH} in {path} exceeds "
+                    f"{MAX_BLOCKDIAGRAM_BYTES} bytes")
     except zipfile.BadZipFile as exc:
         raise SlxFormatError(f"{path} is not a ZIP container: {exc}") from exc
     return xml_to_model(payload)

@@ -1,22 +1,24 @@
-"""Dynamic request coalescing for the serve front-end.
+"""Work-conserving request coalescing for the serve front-end.
 
-PR 3 made the per-step kernel cheap; what remains on the hot path is
-per-request overhead — executor hop, worker IPC, VM lookup, a
-single-instance ``run()``.  This module amortizes that the way
-continuous-batching inference servers do: concurrent ``run`` requests
-that share ``(model, generator, backend, steps)`` are held for at most
-``max_wait_ms`` (or until ``max_batch`` accumulate), merged into one
-``run_batch`` request executed by a single worker call, and the batched
-result is fanned back out as per-request ``run``-shaped responses.
+With a warm kernel, the hot path is mostly per-request overhead —
+executor hop, worker IPC, VM lookup, a single-instance ``run()``.  This
+module amortizes it without delaying any request for companions: the
+queue keeps one slot per pool worker, and while a slot is free the
+oldest waiting bucket is dispatched.  ``run`` requests that queue up
+behind busy slots and share ``(model, generator, backend, steps)`` merge
+into one bucket of up to ``max_batch``, executed as one ``run_batch``
+worker call whose result is fanned back out as ``run``-shaped responses.
 
 Invariants:
 
 * a request that cannot be coalesced — unknown fields, ``coalesce``
   set false, or a non-coalescible op — is forwarded to the pool
   untouched, byte-identical to the uncoalesced path;
-* a bucket that closes with one member forwards the **original** request
-  (again byte-identical), so coalescing can only ever change grouping,
-  never single-request semantics;
+* a bucket dispatched with one member (every request when a slot is
+  free) forwards the **original** request (again byte-identical), so
+  coalescing can only ever change grouping, never single-request semantics;
+* at most ``max_pending`` buckets wait; a request needing another is
+  shed with the pool's typed ``busy`` error;
 * per-instance failures (bad inputs for one request) fail only that
   request; whole-batch failures propagate the same typed error to every
   waiter;
@@ -35,6 +37,7 @@ with ``"coalesce": false``.
 from __future__ import annotations
 
 import asyncio
+import collections
 import hashlib
 import time
 
@@ -76,17 +79,6 @@ def _batch_key(req: dict) -> tuple:
             req.get("steps", 1))
 
 
-class _Bucket:
-    __slots__ = ("items", "timer")
-
-    def __init__(self):
-        # (future, request, enqueue loop-time, enqueue wall-time) tuples —
-        # loop time feeds the delay metrics, wall time anchors the
-        # synthesized queue-wait spans on the shared trace timeline.
-        self.items: list[tuple[asyncio.Future, dict, float, float]] = []
-        self.timer: asyncio.TimerHandle | None = None
-
-
 class BatchQueue:
     """Coalesce compatible ``run`` requests into ``run_batch`` calls.
 
@@ -96,13 +88,19 @@ class BatchQueue:
     and driven entirely from its event loop.
     """
 
-    def __init__(self, pool_execute, metrics, max_batch: int,
-                 max_wait_ms: float):
+    def __init__(self, pool_execute, metrics, max_batch: int, slots: int,
+                 max_pending: int):
         self._execute = pool_execute  # blocking (req) -> (result, meta)
         self._metrics = metrics
         self.max_batch = max(int(max_batch), 1)
-        self.max_wait_ms = max(float(max_wait_ms), 0.0)
-        self._buckets: dict[tuple, _Bucket] = {}
+        self.slots = max(int(slots), 1)
+        self.max_pending = max_pending
+        # (key, bucket) pairs, oldest first.  A bucket is a list of
+        # (future, request, enqueue loop-time, enqueue wall-time) tuples —
+        # loop time feeds the delay metrics, wall time anchors the
+        # synthesized queue-wait spans on the shared trace timeline.
+        self._waiting: collections.deque = collections.deque()
+        self._in_flight = 0
 
     # -- submission --------------------------------------------------------
 
@@ -112,31 +110,39 @@ class BatchQueue:
                 or not set(req) <= _COALESCIBLE_FIELDS):
             return await loop.run_in_executor(None, self._execute, req)
         key = _batch_key(req)
-        bucket = self._buckets.get(key)
+        bucket = next((b for k, b in self._waiting
+                       if k == key and len(b) < self.max_batch), None)
         if bucket is None:
-            bucket = self._buckets[key] = _Bucket()
+            if (self._in_flight >= self.slots
+                    and len(self._waiting) >= self.max_pending):
+                if self._metrics is not None:
+                    self._metrics.record_pool("shed")
+                raise ServeError("busy", f"{len(self._waiting)} batches "
+                                 "already wait for busy workers; retry later")
+            bucket = []
+            self._waiting.append((key, bucket))
         future: asyncio.Future = loop.create_future()
-        bucket.items.append((future, req, loop.time(), time.time()))
-        if len(bucket.items) >= self.max_batch:
-            self._close(key, bucket)
-        elif bucket.timer is None:
-            bucket.timer = loop.call_later(
-                self.max_wait_ms / 1000.0, self._close, key, bucket)
+        bucket.append((future, req, loop.time(), time.time()))
+        self._pump()
         return await future
 
-    def _close(self, key: tuple, bucket: _Bucket) -> None:
-        """Detach a bucket from the queue and execute it."""
-        if self._buckets.get(key) is bucket:
-            del self._buckets[key]
-        if bucket.timer is not None:
-            bucket.timer.cancel()
-            bucket.timer = None
-        if bucket.items:
-            asyncio.ensure_future(self._run_bucket(bucket.items))
+    def _pump(self) -> None:
+        """Dispatch the oldest waiting buckets into free slots."""
+        while self._in_flight < self.slots and self._waiting:
+            self._in_flight += 1
+            _, items = self._waiting.popleft()
+            asyncio.ensure_future(self._run_bucket(items))
 
     # -- execution and fan-out ---------------------------------------------
 
     async def _run_bucket(self, items: list) -> None:
+        try:
+            await self._execute_bucket(items)
+        finally:  # frees the slot before any waiter of this bucket resumes
+            self._in_flight -= 1
+            self._pump()
+
+    async def _execute_bucket(self, items: list) -> None:
         loop = asyncio.get_running_loop()
         now = loop.time()
         delays = [now - t0 for _, _, t0, _ in items]

@@ -131,8 +131,7 @@ def bench_worker_count(workers: int, cache_dir: str,
 
 def bench_coalescing(cache_dir: str, models: tuple[str, ...],
                      generator: str, steps: int, concurrency: int,
-                     requests_per_client: int, max_batch: int = 16,
-                     max_wait_ms: float = 2.0) -> dict:
+                     requests_per_client: int, max_batch: int = 16) -> dict:
     """Warm closed-loop throughput with the coalescer off vs on.
 
     Same workload twice at high concurrency: first against a server with
@@ -148,7 +147,7 @@ def bench_coalescing(cache_dir: str, models: tuple[str, ...],
         config = ServeConfig(workers=2, cache_dir=cache_dir,
                              timeout_seconds=120.0,
                              max_pending=max(64, concurrency * 2),
-                             max_batch=batch, max_batch_wait_ms=max_wait_ms)
+                             max_batch=batch)
         with ServerThread(config) as server_thread:
             port = server_thread.server.port
             with ServeClient(port=port) as client:
@@ -167,7 +166,6 @@ def bench_coalescing(cache_dir: str, models: tuple[str, ...],
     return {
         "concurrency": concurrency,
         "max_batch": max_batch,
-        "max_batch_wait_ms": max_wait_ms,
         **rows,
         "speedup": round(on / off, 2),
         "batch_occupancy": occupancy,

@@ -184,8 +184,7 @@ class ClusterSupervisor:
                "--store", self.store.address,
                "--request-timeout", str(t.timeout_seconds),
                "--max-pending", str(t.max_pending),
-               "--max-batch", str(t.max_batch),
-               "--max-batch-wait-ms", str(t.max_batch_wait_ms)]
+               "--max-batch", str(t.max_batch)]
         if t.allow_debug:
             cmd.append("--debug-ops")
         if t.adaptive:

@@ -39,6 +39,11 @@ MAX_STEPS = 100_000
 #: a batch occupies one worker for its whole duration).
 MAX_BATCH_INSTANCES = 256
 
+#: Upper bound on blocks in a served ``corpus:<seed>:<blocks>`` spec
+#: (same guardrail: a 1024-block model already takes seconds to reach a
+#: vector VM, and the spec costs the client a few bytes).
+MAX_CORPUS_BLOCKS = 1024
+
 
 # -- model resolution ----------------------------------------------------------
 
@@ -81,9 +86,15 @@ def resolve_model(req: dict):
     if isinstance(name, str):
         from repro.corpus import is_corpus_spec
         if is_corpus_spec(name):
-            from repro.corpus import build_corpus_model
+            from repro.corpus import generate_model, parse_corpus_spec
             try:
-                model = build_corpus_model(name)
+                seed, config = parse_corpus_spec(name)
+                if config.blocks > MAX_CORPUS_BLOCKS:
+                    raise ServeError(
+                        "bad_request",
+                        f"corpus spec {name!r} asks for {config.blocks} "
+                        f"blocks; the limit is {MAX_CORPUS_BLOCKS}")
+                model = generate_model(seed, config)
             except ReproError as exc:
                 raise ServeError("invalid_model", str(exc))
             return model, model_fingerprint(model)

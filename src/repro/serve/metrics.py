@@ -155,7 +155,7 @@ class MetricsRegistry:
             buckets=BATCH_OCCUPANCY_BUCKETS)
         self.batch_queue_delay = Histogram(
             "batch_queue_delay_seconds",
-            "time a run request waited in the coalescing queue")
+            "time a run request waited for a free coalescing slot")
         self.phase_latency = Histogram(
             "phase_latency_seconds",
             "per-pipeline-stage wall time from traced requests "

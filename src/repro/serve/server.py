@@ -43,13 +43,12 @@ class ServeConfig:
     cache_dir: str | None = None
     timeout_seconds: float = 60.0
     max_pending: int = 16
-    #: Dynamic micro-batching: concurrent ``run`` requests sharing
-    #: (model, generator, backend, steps) coalesce into one ``run_batch``
-    #: worker call of up to ``max_batch`` instances, waiting at most
-    #: ``max_batch_wait_ms`` for companions.  ``max_batch=1`` disables
-    #: coalescing entirely.
+    #: Work-conserving coalescing: ``run`` requests sharing (model,
+    #: generator, backend, steps) that queue while all ``workers`` are
+    #: busy merge into one ``run_batch`` worker call of up to
+    #: ``max_batch`` instances; with a free worker a request goes out
+    #: alone at once.  ``max_batch=1`` disables coalescing entirely.
     max_batch: int = 8
-    max_batch_wait_ms: float = 2.0
     #: Tiered adaptive execution (see :mod:`repro.serve.adaptive` and
     #: docs/adaptive.md): serve ``backend="auto"`` on the vector tier
     #: immediately and promote hot fingerprints to native via background
@@ -128,8 +127,8 @@ class ReproServer:
             assert self.pool is not None
             self.batcher = BatchQueue(
                 self.pool.execute, self.metrics,
-                max_batch=self.config.max_batch,
-                max_wait_ms=self.config.max_batch_wait_ms)
+                max_batch=self.config.max_batch, slots=self.config.workers,
+                max_pending=self.config.max_pending)
         self._server = await asyncio.start_server(
             self._handle_conn, self.config.host, self.config.port,
             limit=MAX_LINE_BYTES)

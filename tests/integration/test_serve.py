@@ -163,6 +163,26 @@ class TestServeIntegration:
             named = client.run("Simpson", include_outputs=False)
             assert uploaded["output_sha256"] == named["output_sha256"]
 
+    def test_decompression_bomb_upload_is_typed(self, server, tmp_path):
+        import zipfile
+        from repro.model.slx import BLOCKDIAGRAM_PATH, MAX_BLOCKDIAGRAM_BYTES
+        path = tmp_path / "bomb.slx"
+        chunk = b" " * (1 << 20)
+        with zipfile.ZipFile(path, "w", zipfile.ZIP_DEFLATED) as archive:
+            with archive.open(BLOCKDIAGRAM_PATH, "w") as member:
+                for _ in range(MAX_BLOCKDIAGRAM_BYTES // len(chunk)):
+                    member.write(chunk)
+                member.write(b" ")
+        with ServeClient(port=server.server.port) as client:
+            with pytest.raises(ServeRequestError) as exc:
+                client.request("run", include_outputs=False,
+                               **ServeClient.payload_fields(path))
+            assert exc.value.error_type == "invalid_model"
+            assert "limit" in str(exc.value)
+            # the worker that saw the bomb still answers
+            assert client.run("Motivating", include_outputs=False)[
+                "output_sha256"]
+
     def test_shutdown_op_stops_server(self, tmp_path):
         config = ServeConfig(workers=1, cache_dir=str(tmp_path / "c"))
         thread = ServerThread(config)

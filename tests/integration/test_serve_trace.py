@@ -20,8 +20,7 @@ from repro.serve.server import ServeConfig, ServerThread
 @pytest.fixture(scope="module")
 def traced_server(tmp_path_factory):
     cache = tmp_path_factory.mktemp("trace-cache")
-    config = ServeConfig(workers=1, cache_dir=str(cache),
-                         max_batch=4, max_batch_wait_ms=2.0)
+    config = ServeConfig(workers=1, cache_dir=str(cache), max_batch=4)
     with ServerThread(config) as thread:
         yield thread.server
 

@@ -98,15 +98,25 @@ class TestBatchKey:
 
 
 class _FakePool:
-    """Records every request; answers run and run_batch shapes."""
+    """Records every request; answers run and run_batch shapes.
+
+    A call blocks while ``gate`` is clear, so a test can hold worker
+    slots busy for as long as it likes; ``entered`` counts calls that
+    reached the pool.  No assertion depends on timing.
+    """
 
     def __init__(self):
         self.requests: list[dict] = []
         self.lock = threading.Lock()
+        self.gate = threading.Event()
+        self.gate.set()
+        self.entered = threading.Semaphore(0)
 
     def execute(self, req):
         with self.lock:
             self.requests.append(req)
+        self.entered.release()
+        assert self.gate.wait(30), "test never released the pool gate"
         if req["op"] == "run_batch":
             n = len(req["instances"])
             return ({"model": "M", "executed": n, "batch": n,
@@ -116,29 +126,73 @@ class _FakePool:
                      "results": [{"ok": True, "output_sha256": f"sha{i}"}
                                  for i in range(n)]},
                     {"worker_pid": 1, "vm_cache": "hit"})
-        return ({"model": "M", "output_sha256": "solo",
+        if req.get("model") == "X":
+            raise ServeError("unknown_model", "no model X")
+        return ({"model": req.get("model"), "output_sha256": "solo",
                  "counts": {"flops": 10}, "counts_exact": True},
                 {"worker_pid": 1})
+
+    async def wait_entered(self) -> None:
+        assert await asyncio.get_running_loop().run_in_executor(
+            None, self.entered.acquire, True, 30)
 
 
 def _drive(coro):
     return asyncio.run(coro)
 
 
+def _queue(pool, metrics=None, max_batch=8, slots=1, max_pending=16):
+    return BatchQueue(pool.execute, metrics or MetricsRegistry(),
+                      max_batch=max_batch, slots=slots,
+                      max_pending=max_pending)
+
+
+async def _behind_busy_slot(queue, pool, reqs):
+    """Occupy the queue's only slot with a blocker, enqueue ``reqs``
+    behind it, then release the pool; returns (blocker, *reqs) results."""
+    pool.gate.clear()
+    blocker = asyncio.ensure_future(
+        queue.submit({"op": "run", "model": "B"}))
+    await pool.wait_entered()
+    tasks = [asyncio.ensure_future(queue.submit(r)) for r in reqs]
+    await asyncio.sleep(0)  # every submit has now enqueued
+    assert len(pool.requests) == 1
+    pool.gate.set()
+    # the bound only turns a stuck queue into a failure instead of a hang
+    return await asyncio.wait_for(
+        asyncio.gather(blocker, *tasks, return_exceptions=True), 30)
+
+
 class TestBatchQueuePolicy:
-    def test_full_bucket_flushes_as_one_run_batch(self):
+    def test_lone_request_with_free_slot_goes_at_once(self):
         pool = _FakePool()
-        queue_args = dict(metrics=MetricsRegistry(), max_batch=3,
-                          max_wait_ms=500.0)
+        req = {"op": "run", "model": "M", "seed": 1}
 
         async def scenario():
-            queue = BatchQueue(pool.execute, **queue_args)
-            reqs = [{"op": "run", "model": "M", "seed": s} for s in range(3)]
-            return await asyncio.gather(*(queue.submit(r) for r in reqs))
+            queue = _queue(pool)
+            pool.gate.clear()
+            task = asyncio.ensure_future(queue.submit(req))
+            await asyncio.sleep(0)
+            # dispatched in the submitting turn — no timer, no waiting
+            assert queue._in_flight == 1 and not queue._waiting
+            await pool.wait_entered()
+            pool.gate.set()
+            out = await task
+            assert queue._in_flight == 0
+            return out
 
-        results = _drive(scenario())
-        assert [r["op"] for r in pool.requests] == ["run_batch"]
-        assert len(pool.requests[0]["instances"]) == 3
+        result, meta = _drive(scenario())
+        assert len(pool.requests) == 1 and pool.requests[0] is req
+        assert result["output_sha256"] == "solo"
+        assert "coalesced" not in meta
+
+    def test_queued_same_key_requests_merge(self):
+        pool = _FakePool()
+        reqs = [{"op": "run", "model": "M", "seed": s} for s in range(3)]
+        _, *results = _drive(_behind_busy_slot(_queue(pool), pool, reqs))
+        assert [r["op"] for r in pool.requests] == ["run", "run_batch"]
+        assert pool.requests[1]["instances"] == [{"seed": s}
+                                                 for s in range(3)]
         shas = [result["output_sha256"] for result, _ in results]
         assert shas == ["sha0", "sha1", "sha2"]  # order-preserving fan-out
         for result, meta in results:
@@ -148,47 +202,86 @@ class TestBatchQueuePolicy:
         # cache meta surfaces on exactly one member
         assert sum("vm_cache" in meta for _, meta in results) == 1
 
-    def test_timer_flush_and_lone_request_forwarded_verbatim(self):
+    def test_buckets_dispatch_fifo_across_keys(self):
+        pool = _FakePool()
+        reqs = [{"op": "run", "model": m, "seed": s}
+                for m, s in (("P", 0), ("Q", 0), ("P", 1), ("R", 0))]
+        _drive(_behind_busy_slot(_queue(pool), pool, reqs))
+        sent = [(r["op"], r["model"]) for r in pool.requests[1:]]
+        assert sent == [("run_batch", "P"), ("run", "Q"), ("run", "R")]
+        # lone members of a bucket still go out verbatim
+        assert pool.requests[2] is reqs[1] and pool.requests[3] is reqs[3]
+
+    def test_full_bucket_seals_and_later_arrivals_start_a_new_one(self):
+        pool = _FakePool()
+        reqs = [{"op": "run", "model": "M", "seed": s} for s in range(3)]
+        _drive(_behind_busy_slot(_queue(pool, max_batch=2), pool, reqs))
+        assert [r["op"] for r in pool.requests] == ["run", "run_batch",
+                                                    "run"]
+        assert len(pool.requests[1]["instances"]) == 2
+        assert pool.requests[2] is reqs[2]
+
+    def test_backlog_bound_sheds_busy(self):
+        pool = _FakePool()
+        metrics = MetricsRegistry()
+        reqs = [{"op": "run", "model": "M", "seed": 0},
+                {"op": "run", "model": "M", "seed": 1},  # joins open bucket
+                {"op": "run", "model": "N"}]             # needs a new one
+        queue = _queue(pool, metrics, max_pending=1)
+        _, first, second, shed = _drive(_behind_busy_slot(queue, pool, reqs))
+        assert first[1]["batched"] == 2 and second[1]["batched"] == 2
+        assert isinstance(shed, ServeError) and shed.error_type == "busy"
+        assert [r["op"] for r in pool.requests] == ["run", "run_batch"]
+        shed_rows = [row for row in metrics.snapshot()["pool_events_total"]
+                     if row["labels"].get("event") == "shed"]
+        assert shed_rows and shed_rows[0]["value"] == 1
+
+    def test_free_slot_is_never_shed(self):
         pool = _FakePool()
 
         async def scenario():
-            queue = BatchQueue(pool.execute, MetricsRegistry(),
-                               max_batch=8, max_wait_ms=5.0)
-            return await queue.submit({"op": "run", "model": "M", "seed": 1})
+            return await _queue(pool, max_pending=0).submit(
+                {"op": "run", "model": "M"})
 
-        result, meta = _drive(scenario())
-        # one member at timer expiry: the ORIGINAL run request goes through
-        assert [r["op"] for r in pool.requests] == ["run"]
+        result, _ = _drive(scenario())
         assert result["output_sha256"] == "solo"
-        assert "coalesced" not in meta
+
+    def test_failed_dispatch_frees_its_slot(self):
+        pool = _FakePool()
+
+        async def scenario():
+            queue = _queue(pool)
+            with pytest.raises(ServeError) as err:
+                await queue.submit({"op": "run", "model": "X"})
+            assert err.value.error_type == "unknown_model"
+            assert queue._in_flight == 0
+            return await queue.submit({"op": "run", "model": "M"})
+
+        result, _ = _drive(scenario())
+        assert result["output_sha256"] == "solo"
 
     def test_opt_out_and_unknown_fields_bypass(self):
         pool = _FakePool()
+        reqs = [{"op": "run", "model": "M", "coalesce": False},
+                {"op": "run", "model": "M", "mystery_field": 1},
+                {"op": "run", "model": "M", "coalesce": False}]
 
         async def scenario():
-            queue = BatchQueue(pool.execute, MetricsRegistry(),
-                               max_batch=8, max_wait_ms=50.0)
-            return await asyncio.gather(
-                queue.submit({"op": "run", "model": "M", "coalesce": False}),
-                queue.submit({"op": "run", "model": "M",
-                              "mystery_field": 1}))
+            queue = _queue(pool)
+            out = await asyncio.gather(*(queue.submit(r) for r in reqs))
+            # bypassing requests never take a coalescing slot
+            assert queue._in_flight == 0 and not queue._waiting
+            return out
 
         _drive(scenario())
-        assert [r["op"] for r in pool.requests] == ["run", "run"]
+        assert [r["op"] for r in pool.requests] == ["run", "run", "run"]
+        assert all(any(sent is r for sent in pool.requests) for r in reqs)
 
     def test_incompatible_requests_never_share_a_bucket(self):
         pool = _FakePool()
-
-        async def scenario():
-            queue = BatchQueue(pool.execute, MetricsRegistry(),
-                               max_batch=2, max_wait_ms=500.0)
-            return await asyncio.gather(
-                queue.submit({"op": "run", "model": "M", "steps": 1}),
-                queue.submit({"op": "run", "model": "M", "steps": 1}),
-                queue.submit({"op": "run", "model": "M", "steps": 2}),
-                queue.submit({"op": "run", "model": "M", "steps": 2}))
-
-        _drive(scenario())
+        reqs = [{"op": "run", "model": "M", "steps": st, "seed": s}
+                for st in (1, 2) for s in range(2)]
+        _drive(_behind_busy_slot(_queue(pool), pool, reqs))
         batches = [r for r in pool.requests if r["op"] == "run_batch"]
         assert len(batches) == 2
         assert {b["steps"] for b in batches} == {1, 2}
@@ -205,15 +298,9 @@ class TestBatchQueuePolicy:
                 return result, meta
 
         pool = FailSlotPool()
-
-        async def scenario():
-            queue = BatchQueue(pool.execute, MetricsRegistry(),
-                               max_batch=3, max_wait_ms=500.0)
-            reqs = [{"op": "run", "model": "M", "seed": s} for s in range(3)]
-            return await asyncio.gather(*(queue.submit(r) for r in reqs),
-                                        return_exceptions=True)
-
-        good0, bad, good2 = _drive(scenario())
+        reqs = [{"op": "run", "model": "M", "seed": s} for s in range(3)]
+        _, good0, bad, good2 = _drive(
+            _behind_busy_slot(_queue(pool), pool, reqs))
         assert isinstance(bad, ServeError)
         assert bad.error_type == "bad_request"
         assert good0[0]["output_sha256"] == "sha0"
@@ -222,32 +309,41 @@ class TestBatchQueuePolicy:
     def test_occupancy_and_delay_metrics_recorded(self):
         metrics = MetricsRegistry()
         pool = _FakePool()
-
-        async def scenario():
-            queue = BatchQueue(pool.execute, metrics,
-                               max_batch=2, max_wait_ms=500.0)
-            return await asyncio.gather(
-                queue.submit({"op": "run", "model": "M", "seed": 0}),
-                queue.submit({"op": "run", "model": "M", "seed": 1}))
-
-        _drive(scenario())
+        reqs = [{"op": "run", "model": "M", "seed": s} for s in range(2)]
+        _drive(_behind_busy_slot(_queue(pool, metrics), pool, reqs))
         snap = metrics.snapshot()
         occ = snap["batch_occupancy"][0]
-        assert occ["count"] == 1 and occ["max_seconds"] == 2
-        assert snap["batch_queue_delay_seconds"][0]["count"] == 2
+        # the blocker went out alone, the two queued requests together
+        assert occ["count"] == 2 and occ["max_seconds"] == 2
+        assert snap["batch_queue_delay_seconds"][0]["count"] == 3
 
 
 @pytest.mark.slow
 class TestLiveCoalescing:
     def test_concurrent_runs_coalesce_bitwise(self, tmp_path):
         config = ServeConfig(workers=1, cache_dir=str(tmp_path / "cache"),
-                             max_batch=8, max_batch_wait_ms=20.0)
+                             max_batch=8, allow_debug=True)
         with ServerThread(config) as thread:
             port = thread.server.port
             with ServeClient(port=port) as client:
                 client.compile("Motivating", generator="frodo")
                 base = client.run("Motivating", generator="frodo", steps=2,
                                   include_outputs=False)
+
+            # Hold the only worker so the runs below queue behind it and
+            # coalesce.  The sleep bypasses the batcher, so the first run
+            # takes the batcher's slot (and waits in the pool); the rest
+            # wait in the batcher and merge.
+            def hold():
+                with ServeClient(port=port) as holder:
+                    holder.request("sleep", seconds=1.5)
+
+            holder = threading.Thread(target=hold)
+            holder.start()
+            with ServeClient(port=port) as client:
+                while client.metrics(render=False)["snapshot"][
+                        "in_flight"] < 2:  # the sleep, plus this request
+                    pass
 
             shas: list = [None] * 6
 
@@ -263,6 +359,7 @@ class TestLiveCoalescing:
                 t.start()
             for t in threads:
                 t.join()
+            holder.join()
             assert all(s == base["output_sha256"] for s in shas)
 
             with ServeClient(port=port) as client:

@@ -131,6 +131,14 @@ class TestCorpusSpecs:
         assert _error_type({"op": "run", "model": "corpus:-4"},
                            cache) == "invalid_model"
 
+    def test_oversized_corpus_spec_is_bad_request(self, cache):
+        from repro.serve.handlers import MAX_CORPUS_BLOCKS
+        too_big = f"corpus:0:{MAX_CORPUS_BLOCKS + 1}"
+        assert _error_type({"op": "run", "model": too_big},
+                           cache) == "bad_request"
+        assert _error_type({"op": "compile", "model": "corpus:0:1000000"},
+                           cache) == "bad_request"
+
     def test_unknown_model_error_mentions_corpus_form(self, cache):
         with pytest.raises(ServeError) as exc:
             handle_request({"op": "run", "model": "Zzz"}, None)

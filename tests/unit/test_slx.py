@@ -9,8 +9,9 @@ from repro.errors import SlxFormatError
 from repro.model.block import Block
 from repro.model.builder import ModelBuilder
 from repro.model.graph import Model
+from repro.model import slx
 from repro.model.slx import (
-    decode_param, encode_param, load_slx, model_to_xml, save_slx,
+    BLOCKDIAGRAM_PATH, decode_param, encode_param, load_slx, model_to_xml, save_slx,
     xml_to_model,
 )
 
@@ -136,6 +137,20 @@ class TestMalformedInputs:
             archive.writestr("readme.txt", "nothing here")
         with pytest.raises(SlxFormatError):
             load_slx(path)
+
+    def test_oversized_payload_rejected_before_decompressing(
+            self, tmp_path, monkeypatch):
+        monkeypatch.setattr(slx, "MAX_BLOCKDIAGRAM_BYTES", 4096)
+        path = tmp_path / "bomb.slx"
+        with zipfile.ZipFile(path, "w", zipfile.ZIP_DEFLATED) as archive:
+            archive.writestr(BLOCKDIAGRAM_PATH, b" " * 4097)
+        with pytest.raises(SlxFormatError, match="limit is 4096"):
+            load_slx(path)
+        small = tmp_path / "small.slx"
+        save_slx(example_model(), small)
+        monkeypatch.setattr(slx, "MAX_BLOCKDIAGRAM_BYTES",
+                            len(model_to_xml(example_model())))
+        assert load_slx(small).blocks
 
     def test_invalid_xml(self):
         with pytest.raises(SlxFormatError):
