@@ -653,7 +653,8 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--promote-compiles", type=int, default=1,
                    help="background native compiles in flight per worker")
     p.add_argument("--vm-cache-max", type=int, default=None, metavar="N",
-                   help="warm per-worker VM cache bound (LRU beyond)")
+                   help="per-worker warm table bound (LRU beyond; "
+                        "default 64)")
     p.add_argument("--cluster", type=int, default=0, metavar="N",
                    help="run a sharded fleet: N shard processes behind a "
                         "consistent-hashing router plus a shared "

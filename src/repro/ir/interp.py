@@ -1151,153 +1151,20 @@ class VirtualMachine:
 
 # -- program cache -------------------------------------------------------------
 
-# Keyed by (content fingerprint, backend, so_cache_dir): repeated run()s of
-# structurally identical generated programs (the common shape in eval/runner
-# and the benchmark suites) skip closure/kernel recompilation entirely.
+# Keyed by (content fingerprint, backend, so_cache_dir, fuse): repeated
+# run()s of structurally identical generated programs (the common shape in
+# eval/runner, the fuzzer and the benchmark suites) skip closure/kernel
+# recompilation entirely.
 #
 # The dict itself is guarded by _VM_CACHE_LOCK, so lookups, insertions and
-# evictions are safe from any thread (the serve layer's dispatcher threads
-# all funnel through here).  The lock does NOT make the cached VMs
-# themselves concurrent: a VirtualMachine accumulates counts and mutates
-# its buffers in place, so a shared VM must never have run()/step() active
-# on two threads at once.  The serve worker pool relies on exactly this
-# contract — each worker process owns a private cache and executes one
-# request at a time.
+# evictions are safe from any thread.  The lock does NOT make the cached
+# VMs themselves concurrent: a VirtualMachine accumulates counts and
+# mutates its buffers in place, so a shared VM must never have
+# run()/step() active on two threads at once.
 _VM_CACHE: dict[tuple, VirtualMachine] = {}
 _VM_CACHE_MAX = 64
 _VM_CACHE_LOCK = threading.Lock()
 _VM_CACHE_STATS = {"hits": 0, "misses": 0, "evictions": 0}
-
-# -- adaptive promotion overlay ------------------------------------------------
-#
-# ``backend="auto"`` consults this map before resolving: a fingerprint
-# that has been *promoted* (its ``.so`` was built off the request path by
-# a background compile, see repro.serve.adaptive) is served by a native
-# VM instead of the vector one.  A fingerprint that has been *demoted*
-# (toolchain failure) never retries — the vector path is the permanent
-# fallback.  Keys are ``(program_fingerprint, fuse)``; the stored value
-# remembers which ``.so`` store the promotion was built against.
-_PROMOTIONS: dict[tuple[str, bool], dict] = {}
-_DEMOTIONS: set[tuple[str, bool]] = set()
-
-
-def set_vm_cache_limit(limit: int) -> int:
-    """Bound the warm VM cache at ``limit`` entries (LRU evicted beyond).
-
-    Returns the previous limit.  Serve workers call this at startup so
-    diverse-corpus traffic cannot grow a worker's cache without bound;
-    shrinking the limit evicts immediately.
-    """
-    global _VM_CACHE_MAX
-    if limit < 1:
-        raise ValueError(f"vm cache limit must be >= 1, got {limit}")
-    with _VM_CACHE_LOCK:
-        previous, _VM_CACHE_MAX = _VM_CACHE_MAX, int(limit)
-        while len(_VM_CACHE) > _VM_CACHE_MAX:
-            del _VM_CACHE[next(iter(_VM_CACHE))]
-            _VM_CACHE_STATS["evictions"] += 1
-    return previous
-
-
-def vm_cache_limit() -> int:
-    return _VM_CACHE_MAX
-
-
-def promote_fingerprint(fp: str, fuse: bool = True,
-                        so_cache_dir=None) -> bool:
-    """Route future ``backend="auto"`` resolutions of ``fp`` to native.
-
-    Call only after the ``.so`` exists (the promotion contract: requests
-    never block on gcc).  Returns False when the fingerprint was already
-    demoted — demotion is permanent and wins.
-    """
-    key = (fp, bool(fuse))
-    with _VM_CACHE_LOCK:
-        if key in _DEMOTIONS:
-            return False
-        _PROMOTIONS[key] = {
-            "so_cache_dir": str(so_cache_dir)
-            if so_cache_dir is not None else None,
-        }
-    return True
-
-
-def demote_fingerprint(fp: str, fuse: bool = True) -> None:
-    """Permanently pin ``fp`` to the vector path under ``backend="auto"``.
-
-    Used when the native toolchain failed for this program — promotion
-    will not be retried (a broken build would fail identically), and the
-    vector VM remains the always-available fallback.
-    """
-    key = (fp, bool(fuse))
-    with _VM_CACHE_LOCK:
-        _PROMOTIONS.pop(key, None)
-        _DEMOTIONS.add(key)
-
-
-def promotion_state(fp: str, fuse: bool = True) -> str:
-    """``"promoted"``, ``"demoted"`` or ``"none"`` for one fingerprint."""
-    key = (fp, bool(fuse))
-    with _VM_CACHE_LOCK:
-        if key in _DEMOTIONS:
-            return "demoted"
-        return "promoted" if key in _PROMOTIONS else "none"
-
-
-def clear_promotions() -> None:
-    """Drop all promotion/demotion state (tests)."""
-    with _VM_CACHE_LOCK:
-        _PROMOTIONS.clear()
-        _DEMOTIONS.clear()
-
-
-def install_cached_vm(program: Program, vm: VirtualMachine,
-                      so_cache_dir=None) -> None:
-    """Insert a pre-built VM into the warm cache (the promotion swap).
-
-    ``program`` must be the *original* (pre-fusion) program — the cache
-    keys on its fingerprint exactly as :func:`cached_vm` would, so the
-    next ``cached_vm`` call for the same coordinates returns ``vm``
-    without building anything.  The insert is atomic under the cache
-    lock; an existing entry is replaced.
-    """
-    from repro.ir.vectorize import fingerprint
-    fp = fingerprint(program)
-    key = (fp, vm.backend,
-           str(so_cache_dir) if so_cache_dir is not None else None, vm.fuse)
-    with _VM_CACHE_LOCK:
-        _VM_CACHE.pop(key, None)
-        _VM_CACHE[key] = vm
-        while len(_VM_CACHE) > _VM_CACHE_MAX:
-            del _VM_CACHE[next(iter(_VM_CACHE))]
-            _VM_CACHE_STATS["evictions"] += 1
-
-
-def _lookup_or_build(program: Program, fp: str, backend: str,
-                     so_cache_dir, fuse: bool) -> VirtualMachine:
-    """The cache transaction shared by both ``cached_vm`` paths."""
-    key = (fp, backend,
-           str(so_cache_dir) if so_cache_dir is not None else None,
-           bool(fuse))
-    with _VM_CACHE_LOCK:
-        vm = _VM_CACHE.pop(key, None)
-        if vm is not None:
-            _VM_CACHE_STATS["hits"] += 1
-            _VM_CACHE[key] = vm  # re-insert as most recently used
-            return vm
-        _VM_CACHE_STATS["misses"] += 1
-    # Compile outside the lock — construction can take seconds on big
-    # programs and must not serialize unrelated lookups.  Two threads
-    # racing on the same key may both compile; the second insert wins,
-    # which is harmless (both VMs are valid, one is dropped).
-    vm = VirtualMachine(program, backend=backend, so_cache_dir=so_cache_dir,
-                        fuse=fuse)
-    with _VM_CACHE_LOCK:
-        _VM_CACHE[key] = vm
-        while len(_VM_CACHE) > _VM_CACHE_MAX:
-            del _VM_CACHE[next(iter(_VM_CACHE))]
-            _VM_CACHE_STATS["evictions"] += 1
-    return vm
 
 
 def cached_vm(program: Program, backend: str = "auto",
@@ -1320,32 +1187,31 @@ def cached_vm(program: Program, backend: str = "auto",
     and mutates live counts).  Callers that may execute concurrently must
     either serialize their run() calls or construct private
     :class:`VirtualMachine` instances.
-
-    **Adaptive auto.**  With ``backend="auto"``, a fingerprint promoted
-    via :func:`promote_fingerprint` resolves to a native VM bound to the
-    promotion's ``.so`` store instead — normally a pure cache hit (the
-    promoting compile pre-installs the VM via :func:`install_cached_vm`);
-    after an eviction the rebuild dlopens the already-built ``.so``
-    without invoking the compiler.  If native resolution fails anyway
-    (toolchain revoked, store deleted), the fingerprint is demoted and
-    the call falls back to the plain vector path — adaptive ``auto``
-    never propagates :class:`~repro.errors.NativeToolchainError`.
     """
     from repro.ir.vectorize import fingerprint
     fp = fingerprint(program)  # pure and slow-ish: compute outside the lock
-    if backend == "auto":
-        pkey = (fp, bool(fuse))
-        with _VM_CACHE_LOCK:
-            promo = (None if pkey in _DEMOTIONS
-                     else _PROMOTIONS.get(pkey))
-        if promo is not None:
-            from repro.errors import NativeToolchainError
-            try:
-                return _lookup_or_build(program, fp, "native",
-                                        promo["so_cache_dir"], bool(fuse))
-            except NativeToolchainError:
-                demote_fingerprint(fp, fuse)
-    return _lookup_or_build(program, fp, backend, so_cache_dir, bool(fuse))
+    key = (fp, backend,
+           str(so_cache_dir) if so_cache_dir is not None else None,
+           bool(fuse))
+    with _VM_CACHE_LOCK:
+        vm = _VM_CACHE.pop(key, None)
+        if vm is not None:
+            _VM_CACHE_STATS["hits"] += 1
+            _VM_CACHE[key] = vm  # re-insert as most recently used
+            return vm
+        _VM_CACHE_STATS["misses"] += 1
+    # Compile outside the lock — construction can take seconds on big
+    # programs and must not serialize unrelated lookups.  Two threads
+    # racing on the same key may both compile; the second insert wins,
+    # which is harmless (both VMs are valid, one is dropped).
+    vm = VirtualMachine(program, backend=backend, so_cache_dir=so_cache_dir,
+                        fuse=fuse)
+    with _VM_CACHE_LOCK:
+        _VM_CACHE[key] = vm
+        while len(_VM_CACHE) > _VM_CACHE_MAX:
+            del _VM_CACHE[next(iter(_VM_CACHE))]
+            _VM_CACHE_STATS["evictions"] += 1
+    return vm
 
 
 def clear_vm_cache() -> None:

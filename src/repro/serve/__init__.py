@@ -3,7 +3,7 @@
 Turns the single-shot reproduction pipeline (model → analysis → ranges →
 codegen → VM) into a long-running system: an asyncio front-end speaking
 line-delimited JSON (plus a minimal HTTP shim), a pool of worker
-processes with warm per-worker VM caches, a persistent content-addressed
+processes each with a warm table of ready VMs, a persistent content-addressed
 artifact cache that lets a restarted server skip code generation
 entirely, and a metrics registry with request counters, latency
 histograms and cache hit rates.

@@ -8,13 +8,13 @@ immediately on the vector backend, a per-fingerprint **heat tracker**
 accumulates how much work each program is actually serving, and once a
 fingerprint is hot enough to pay for its compile, the ``.so`` is built
 by a **background executor** off the request path (bounded concurrency;
-a request never blocks on gcc).  The finished native VM is atomically
-swapped into the warm worker VM cache
-(:func:`repro.ir.interp.install_cached_vm` +
-:func:`~repro.ir.interp.promote_fingerprint`), so the *next* request for
-that fingerprint runs native.  A toolchain failure demotes the
-fingerprint permanently — the vector VM remains the fallback and the
-server keeps answering.
+a request never blocks on gcc).  The finished native VM waits on the
+controller's entry until the *next* ``auto`` request for that
+fingerprint swaps it into its warm-table entry
+(:mod:`repro.serve.handlers`), so that request and every later hit run
+native.  The controller is the only owner of promotion state.  A
+toolchain failure demotes the fingerprint permanently — the vector VM
+remains the fallback and the server keeps answering.
 
 Heat and the promotion policy
 -----------------------------
@@ -56,6 +56,7 @@ from collections import OrderedDict
 from concurrent.futures import Future, ThreadPoolExecutor
 from dataclasses import dataclass
 
+from repro.errors import NativeToolchainError
 from repro.obs import tracing
 
 #: Modeled-ns → estimated vector-backend wall-ns multiplier.  The cost
@@ -116,9 +117,8 @@ class _Entry:
     """Heat and promotion state of one ``(fingerprint, fuse)``."""
 
     __slots__ = ("program_fp", "fuse", "state", "heat", "invocations",
-                 "last_update", "step_ns", "compile_ns", "first_seen",
-                 "promoted_at", "compile_seconds", "model_name",
-                 "seeded", "last_publish")
+                 "last_update", "step_ns", "compile_ns", "model_name",
+                 "seeded", "last_publish", "vm")
 
     def __init__(self, program_fp: str, fuse: bool, model_name: str,
                  now: float):
@@ -129,13 +129,11 @@ class _Entry:
         self.heat = 0.0  # decayed steps × batch units
         self.invocations = 0
         self.last_update = now
-        self.first_seen = now
         self.step_ns: float | None = None  # modeled per-step cost (lazy)
         self.compile_ns: float = 0.0
-        self.promoted_at: float | None = None
-        self.compile_seconds: float | None = None
         self.seeded = True  # flipped off when a heat store may hold history
         self.last_publish = float("-inf")
+        self.vm = None  # the promoted native VM until a request takes it
 
 
 def modeled_step_ns(program) -> float:
@@ -277,35 +275,30 @@ class AdaptiveController:
 
     # -- request path ------------------------------------------------------
 
-    def observe(self, program, steps: int, batch: int = 1,
-                fuse: bool = True, model_name: str = "?") -> dict:
+    def observe(self, fp: str, vm, steps: int, batch: int = 1,
+                model_name: str = "?") -> dict:
         """Record one ``backend="auto"`` request; maybe start a promotion.
 
-        Returns a small status dict for the response meta:
+        ``fp`` is the fingerprint of the generated program; ``vm`` is
+        the request's ``auto`` VM (its program, as it runs, feeds the
+        cost model and the promotion build; its ``fuse`` flag is part
+        of the key).  Returns a small status dict for the response meta:
         ``{"state": ..., "heat": ...}``.  Never blocks on compilation —
         the heaviest thing on this path is the one-time cost-model
         estimate for a fingerprint's first sighting.
         """
-        from repro.ir.vectorize import fingerprint
-        fp = fingerprint(program)
         now = time.monotonic()
         promote_entry = None
         with self._lock:
-            key = (fp, bool(fuse))
+            key = (fp, vm.fuse)
             entry = self._entries.get(key)
             if entry is None:
-                entry = _Entry(fp, bool(fuse), model_name, now)
+                entry = _Entry(fp, vm.fuse, model_name, now)
                 # This thread owns the (single) persisted-heat lookup.
                 entry.seeded = self.heat_store is None
                 need_seed = not entry.seeded
                 self._entries[key] = entry
-                while len(self._entries) > self.config.max_tracked:
-                    evicted_key, evicted = self._entries.popitem(last=False)
-                    if evicted.state == "compiling":
-                        # Never forget an in-flight compile's bookkeeping.
-                        self._entries[evicted_key] = evicted
-                        self._entries.move_to_end(evicted_key, last=True)
-                        break
+                self._evict(key)
             else:
                 self._entries.move_to_end(key)
                 need_seed = False
@@ -324,8 +317,8 @@ class AdaptiveController:
         if should_estimate:
             # Stored un-scaled; the overhead factor is applied at the
             # threshold check so later calibration reaches old entries.
-            step_ns = modeled_step_ns(program)
-            compile_ns = estimate_compile_ns(program)
+            step_ns = modeled_step_ns(vm.program)
+            compile_ns = estimate_compile_ns(vm.program)
             with self._lock:
                 entry.step_ns = step_ns
                 entry.compile_ns = compile_ns
@@ -339,9 +332,46 @@ class AdaptiveController:
             status = {"state": entry.state,
                       "heat": round(entry.heat, 3)}
         if promote_entry is not None:
-            self._submit(promote_entry, program)
+            self._submit(promote_entry, vm)
         self._maybe_publish_heat(entry)
         return status
+
+    def _evict(self, newest: tuple) -> None:
+        """LRU-trim the tracked entries (lock held).  An in-flight compile
+        and a demotion are never forgotten: the first must land, the
+        second is permanent."""
+        while len(self._entries) > self.config.max_tracked:
+            victim = next((k for k, e in self._entries.items()
+                           if k != newest
+                           and e.state not in ("compiling", "demoted")),
+                          None)
+            if victim is None:
+                return
+            del self._entries[victim]
+
+    def native_vm(self, fp: str, vm):
+        """The VM an ``auto`` request for ``fp`` should run from now on.
+
+        ``vm`` itself unless ``fp`` is promoted.  A promoted fingerprint
+        hands over the VM its background compile built (once); after
+        that — a warm-table miss, or a second table entry for the same
+        program — a native VM is built from the ``.so`` the promotion
+        left on disk, so no compiler runs.  A toolchain failure there
+        demotes the fingerprint and keeps ``vm``.
+        """
+        with self._lock:
+            entry = self._entries.get((fp, vm.fuse))
+            if entry is None or entry.state != "promoted":
+                return vm
+            native, entry.vm = entry.vm, None
+        if native is not None:
+            return native
+        t0 = time.perf_counter()
+        try:
+            return native_twin(vm, self.so_cache_dir)
+        except NativeToolchainError as exc:
+            self._finish(entry, "demoted", t0, None, str(exc))
+            return vm
 
     def _threshold_ns(self, entry: _Entry) -> float:
         if self.config.threshold_ms is not None:
@@ -402,7 +432,7 @@ class AdaptiveController:
 
     # -- background promotion ----------------------------------------------
 
-    def _submit(self, entry: _Entry, program) -> None:
+    def _submit(self, entry: _Entry, vm) -> None:
         with self._lock:
             if self._closed:
                 entry.state = "cold"
@@ -411,59 +441,44 @@ class AdaptiveController:
                 self._executor = ThreadPoolExecutor(
                     max_workers=max(self.config.max_concurrent_compiles, 1),
                     thread_name_prefix="repro-promote")
-            future = self._executor.submit(self._promote, entry, program)
+            future = self._executor.submit(self._promote, entry, vm)
             self._futures.append(future)
             self._futures = [f for f in self._futures if not f.done()]
 
-    def _promote(self, entry: _Entry, program) -> None:
-        """Background job: build the ``.so``, swap the VM cache, promote.
+    def _promote(self, entry: _Entry, vm) -> None:
+        """Background job: build the native twin of ``vm`` and leave it on
+        the entry for the next request to take.
 
         Runs on an executor thread — a request that arrives while this
         compiles is still served by the vector VM.
         """
-        from repro.errors import NativeToolchainError
-        from repro.ir.interp import (VirtualMachine, install_cached_vm,
-                                     promote_fingerprint)
         root = tracing.start_trace(
             "native.promote", model=entry.model_name,
             fingerprint=entry.program_fp[:12], fuse=entry.fuse)
         t0 = time.perf_counter()
-        memo = f"promote:{entry.program_fp}:{int(entry.fuse)}"
         cache = self.native_cache
         try:
             with root:
-                if cache is not None and hasattr(cache, "fetch_native"):
+                shared = hasattr(cache, "fetch_native")
+                if shared:
                     # A fleet peer may have paid gcc already — pull its
                     # .so into the local overlay so the build is a dlopen.
-                    root.set(native_store=cache.fetch_native(
-                        program, entry.fuse, memo))
-                vm = VirtualMachine(program, backend="native",
-                                    so_cache_dir=self.so_cache_dir,
-                                    fuse=entry.fuse)
-                if cache is not None and hasattr(cache, "publish_native"):
-                    cache.publish_native(program, entry.fuse, memo)
-                install_cached_vm(program, vm,
-                                  so_cache_dir=self.so_cache_dir)
-                promoted = promote_fingerprint(
-                    entry.program_fp, entry.fuse,
-                    so_cache_dir=self.so_cache_dir)
-                root.set(outcome="promoted" if promoted else "demoted")
-        except NativeToolchainError as exc:
-            self._finish(entry, "demoted", t0, root, str(exc))
-            return
+                    key = cache.native_key(vm.program, fuse=False)
+                    root.set(native_store=cache.fetch_native(key))
+                native = native_twin(vm, self.so_cache_dir)
+                if shared:
+                    cache.publish_native(key)
+                root.set(outcome="promoted")
         except Exception as exc:  # noqa: BLE001 — demote, never crash worker
-            self._finish(entry, "demoted", t0, root,
-                         f"{type(exc).__name__}: {exc}")
+            error = (str(exc) if isinstance(exc, NativeToolchainError)
+                     else f"{type(exc).__name__}: {exc}")
+            self._finish(entry, "demoted", t0, root, error)
             return
-        self._finish(entry, "promoted" if promoted else "demoted", t0, root,
-                     None)
+        self._finish(entry, "promoted", t0, root, None, native)
 
     def _finish(self, entry: _Entry, state: str, t0: float, root,
-                error: str | None) -> None:
+                error: str | None, native=None) -> None:
         elapsed = time.perf_counter() - t0
-        if state == "demoted":
-            from repro.ir.interp import demote_fingerprint
-            demote_fingerprint(entry.program_fp, entry.fuse)
         event = {
             "event": state,
             "model": entry.model_name,
@@ -473,14 +488,12 @@ class AdaptiveController:
         }
         if error is not None:
             event["error"] = error
-        spans = root.export()
+        spans = root.export() if root is not None else None
         if spans:
             event["spans"] = spans
         with self._lock:
             entry.state = state
-            entry.compile_seconds = elapsed
-            if state == "promoted":
-                entry.promoted_at = time.monotonic()
+            entry.vm = native
             self._events.append(event)
         # State changes are worth a flush regardless of the throttle —
         # an inheriting shard should see the record promptly.
@@ -502,10 +515,9 @@ class AdaptiveController:
                 counts[entry.state] = counts.get(entry.state, 0) + 1
         return counts
 
-    def state_of(self, program, fuse: bool = True) -> str | None:
-        from repro.ir.vectorize import fingerprint
+    def state_of(self, fp: str, fuse: bool = True) -> str | None:
         with self._lock:
-            entry = self._entries.get((fingerprint(program), bool(fuse)))
+            entry = self._entries.get((fp, bool(fuse)))
             return entry.state if entry is not None else None
 
     def wait_idle(self, timeout: float = 60.0) -> bool:
@@ -526,6 +538,20 @@ class AdaptiveController:
             executor, self._executor = self._executor, None
         if executor is not None:
             executor.shutdown(wait=False, cancel_futures=True)
+
+
+def native_twin(vm, so_cache_dir=None):
+    """A native VM that runs ``vm``'s program exactly as ``vm`` runs it.
+
+    ``vm.program`` is already fused (or deliberately not), so the twin
+    does not fuse again: it loads the same ``.so`` a native build from
+    the generated program would, and reports the same fusion stats.
+    """
+    from repro.ir.interp import VirtualMachine
+    native = VirtualMachine(vm.program, backend="native",
+                            so_cache_dir=so_cache_dir, fuse=False)
+    native.fuse, native.fusion_stats = vm.fuse, vm.fusion_stats
+    return native
 
 
 # -- per-process singleton -----------------------------------------------------

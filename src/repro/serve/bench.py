@@ -6,7 +6,7 @@ Measures the three effects the serve subsystem exists to deliver:
   ``run`` requests across several pool sizes;
 * **warm vs cold** — first-touch latency (model build + analysis +
   codegen + VM compile) against steady-state latency served from the
-  warm per-worker VM caches;
+  per-worker warm tables;
 * **restart persistence** — after a full server restart on the same
   cache directory, ``compile`` is answered from the on-disk artifact
   cache without re-running code generation;

@@ -82,7 +82,7 @@ def _warm(port: int, specs: tuple[str, ...], generator: str,
     from repro.serve.client import ServeClient
     with ServeClient(port=port) as client:
         for spec in specs:
-            for _ in range(2):  # artifact + VM caches on the home shard
+            for _ in range(2):  # artifact cache + warm table on the home shard
                 client.run(spec, generator=generator, steps=steps,
                            include_outputs=False)
 

@@ -1,16 +1,22 @@
 """Request execution for the serve subsystem.
 
-Pure functions from a decoded request dict to a result dict.  The same
+Functions from a decoded request dict to a result dict.  The same
 code runs in two places:
 
 * inside each :mod:`repro.serve.pool` worker process (the production
-  path — one request at a time per worker, private warm VM cache);
+  path — one request at a time per worker, private warm table);
 * inline in the server process when the pool is disabled
   (``workers=0``, used by unit tests and debugging).
 
 Handlers never touch sockets or asyncio; typed failures are raised as
 :class:`~repro.serve.protocol.ServeError` and everything else is the
 caller's ``internal`` error.
+
+``run``, ``run_batch`` and ``report`` go through the worker's **warm
+table** (:class:`WarmTable`): a bounded LRU keyed by what the client
+sent — cache root, model name or payload digest, generator, backend,
+fuse.  A hit is one lookup and ``vm.run``; only a miss resolves the
+model, reads or generates the artifact and builds the VM.
 """
 
 from __future__ import annotations
@@ -18,9 +24,12 @@ from __future__ import annotations
 import base64
 import binascii
 import hashlib
+import math
 import os
 import tempfile
+import threading
 import time
+from collections import OrderedDict
 from pathlib import Path
 
 import numpy as np
@@ -43,6 +52,9 @@ MAX_BATCH_INSTANCES = 256
 #: (same guardrail: a 1024-block model already takes seconds to reach a
 #: vector VM, and the spec costs the client a few bytes).
 MAX_CORPUS_BLOCKS = 1024
+
+#: Default warm-table bound per worker (``--vm-cache-max``).
+WARM_TABLE_MAX = 64
 
 
 # -- model resolution ----------------------------------------------------------
@@ -78,7 +90,7 @@ def resolve_model(req: dict):
             path.write_bytes(blob)
             try:
                 model = load_mdl(path) if fmt == "mdl" else load_slx(path)
-            except ReproError as exc:
+            except (ReproError, UnicodeDecodeError) as exc:
                 raise ServeError("invalid_model", str(exc))
         return model, model_fingerprint(model)
 
@@ -143,75 +155,6 @@ def _fuse_flag(req: dict) -> bool:
     return value
 
 
-def _native_vm(program, backend: str, ctx: "HandlerContext",
-               fuse: bool = True, sync_key: str | None = None):
-    """``cached_vm`` with native-backend wiring: the ``.so`` store lives in
-    the artifact cache, and toolchain failures become the typed
-    ``native_unavailable`` error instead of an internal one (explicit
-    ``backend="native"`` never silently falls back — benchmark numbers
-    must not lie).  ``backend="auto"`` may resolve to a *native* VM when
-    the program's fingerprint was promoted by the adaptive tier (see
-    :mod:`repro.serve.adaptive`); callers report ``vm.backend`` as the
-    effective backend.
-
-    With a store-backed cache (:class:`repro.serve.store.SharedArtifactCache`)
-    and ``backend="native"``, the shared ``.so`` store is consulted before
-    building (another shard's compile becomes a download + dlopen) and a
-    locally built library is published after — the fleet pays gcc once
-    per distinct program.  ``sync_key`` memoizes that exchange per
-    artifact, keeping warm requests network-free."""
-    from repro.errors import NativeToolchainError
-    from repro.ir.interp import cached_vm
-    so_dir = None
-    if backend == "native" and ctx.cache is not None:
-        so_dir = ctx.cache.native_dir
-    shared_store = (backend == "native" and sync_key is not None
-                    and hasattr(ctx.cache, "fetch_native"))
-    if shared_store:
-        fetch = tracing.span("store.native_fetch", key=sync_key[:32])
-        with fetch:
-            status = ctx.cache.fetch_native(program, fuse, sync_key)
-            fetch.set(outcome=status)
-        if status in ("fetched", "local", "miss"):
-            ctx.meta["native_store"] = status
-    try:
-        acquire = tracing.span("vm.acquire", backend=backend,
-                               program=program.name, fuse=fuse)
-        with acquire:
-            vm = cached_vm(program, backend=backend, so_cache_dir=so_dir,
-                           fuse=fuse)
-            if vm.backend != backend:
-                acquire.set(backend_effective=vm.backend)
-            if vm.fusion_stats is not None:
-                acquire.set(**{f"fusion_{k}": v for k, v
-                               in vm.fusion_stats.as_dict().items()})
-        if shared_store and vm.backend == "native":
-            if ctx.cache.publish_native(program, fuse, sync_key):
-                ctx.meta["native_store"] = "published"
-        return vm
-    except NativeToolchainError as exc:
-        raise ServeError("native_unavailable", str(exc))
-
-
-def _observe_adaptive(artifact: Artifact, backend: str, steps: int,
-                      batch: int, fuse: bool, ctx: "HandlerContext") -> None:
-    """Feed one ``auto`` request into the adaptive heat tracker.
-
-    Only updates counters and possibly *enqueues* a background compile —
-    the promotion itself lands later, off the request path, and is
-    observed by a subsequent request through the VM cache swap.
-    """
-    if backend != "auto":
-        return
-    from repro.serve import adaptive
-    controller = adaptive.controller()
-    if controller is None:
-        return
-    ctx.meta["adaptive"] = controller.observe(
-        artifact.program, steps=steps, batch=batch, fuse=fuse,
-        model_name=artifact.model_name)
-
-
 def _int_field(req: dict, name: str, default: int, lo: int, hi: int) -> int:
     value = req.get(name, default)
     if not isinstance(value, int) or isinstance(value, bool) \
@@ -273,6 +216,193 @@ def get_or_compile(model, model_fp: str, generator: str, backend: str,
     return artifact, "off"
 
 
+# -- the warm table --------------------------------------------------------------
+
+
+class _Warm:
+    """What a warm request reads.  Never the Model, its analysis or the
+    generated program: the VM already holds the program it runs."""
+
+    __slots__ = ("vm", "inputs", "outputs", "model_name", "model_fp",
+                 "stats", "program_fp", "inports")
+
+    def __init__(self, vm, artifact: Artifact, program_fp: str | None):
+        self.vm = vm
+        self.inputs = dict(artifact.input_buffers)    # inport -> buffer
+        self.outputs = dict(artifact.output_buffers)  # outport -> buffer
+        self.model_name = artifact.model_name
+        self.model_fp = artifact.model_fingerprint
+        self.stats = artifact.stats
+        #: The generated program's fingerprint, kept for ``auto`` entries
+        #: (the adaptive controller's key); None otherwise.
+        self.program_fp = program_fp
+        buffers = artifact.program.buffers
+        #: Each inport's ``(name, shape, dtype)`` for seeded inputs.
+        self.inports = tuple((name, buffers[buf].shape, buffers[buf].dtype)
+                             for name, buf in self.inputs.items())
+
+
+class WarmTable:
+    """Bounded LRU of :class:`_Warm` entries, one per worker process.
+
+    Guarded by a lock, like the VM cache dict it replaces.  The lock does
+    not make the entries' VMs reentrant: workers run one request at a
+    time.
+    """
+
+    def __init__(self, limit: int = WARM_TABLE_MAX):
+        if limit < 1:
+            raise ValueError(f"warm table limit must be >= 1, got {limit}")
+        self.limit = limit
+        self.evictions = 0
+        self._entries: "OrderedDict[tuple, _Warm]" = OrderedDict()
+        self._lock = threading.Lock()
+
+    def get(self, key: tuple) -> "_Warm | None":
+        with self._lock:
+            entry = self._entries.get(key)
+            if entry is not None:
+                self._entries.move_to_end(key)
+            return entry
+
+    def put(self, key: tuple, entry: _Warm) -> None:
+        with self._lock:
+            self._entries[key] = entry
+            self._entries.move_to_end(key)
+            while len(self._entries) > self.limit:
+                self._entries.popitem(last=False)
+                self.evictions += 1
+
+    def __len__(self) -> int:
+        with self._lock:
+            return len(self._entries)
+
+
+_TABLE = WarmTable()
+
+
+def configure_warm_table(limit: int | None = None) -> WarmTable:
+    """Give this process a fresh, empty warm table bounded at ``limit``
+    entries (default :data:`WARM_TABLE_MAX`).  Called once per worker
+    process at startup, so a forked worker never inherits its parent's
+    entries."""
+    global _TABLE
+    _TABLE = WarmTable(WARM_TABLE_MAX if limit is None else limit)
+    return _TABLE
+
+
+def _model_identity(req: dict) -> tuple | None:
+    """What names the request's model: the zoo name or corpus spec, or a
+    digest of the upload.  None when the request cannot name one (the
+    resolve on the miss path then reports the error)."""
+    payload = req.get("model_payload")
+    if payload is not None:
+        fmt = req.get("model_format", "slx")
+        if not isinstance(payload, str) or not isinstance(fmt, str):
+            return None
+        digest = hashlib.sha256(f"{fmt}\0{payload}".encode())
+        return ("payload", digest.hexdigest())
+    name = req.get("model")
+    return ("model", name) if isinstance(name, str) and name else None
+
+
+def _acquire(req: dict, ctx: "HandlerContext", generator: str, backend: str,
+             fuse: bool, resolved: list | None = None
+             ) -> tuple[_Warm, str, str]:
+    """The request's warm entry: a table hit, or a miss that resolves the
+    model, reads or generates the artifact and builds the VM.
+
+    Returns ``(entry, artifact_cache, vm_cache)`` outcomes for the meta.
+    ``resolved`` memoizes the resolved model across a report's
+    generators.  Failures propagate and are never cached.
+    """
+    ident = _model_identity(req)
+    root = str(ctx.cache.root) if ctx.cache is not None else None
+    key = (root, ident, generator, backend, fuse)
+    with tracing.span("cache.lookup", cache="warm") as lookup:
+        entry = _TABLE.get(key) if ident is not None else None
+        lookup.set(outcome="hit" if entry is not None else "miss")
+        if entry is not None:
+            return entry, "hit" if ctx.cache is not None else "off", "hit"
+        if resolved is None:
+            resolved = []
+        if not resolved:
+            with tracing.span("model.resolve"):
+                resolved.append(resolve_model(req))
+        model, model_fp = resolved[0]
+        artifact, source = get_or_compile(model, model_fp, generator,
+                                          backend, ctx.cache, fuse)
+        program_fp = None
+        if backend == "auto":
+            from repro.ir.vectorize import fingerprint
+            program_fp = fingerprint(artifact.program)
+        entry = _Warm(_build_vm(artifact.program, backend, ctx, fuse),
+                      artifact, program_fp)
+        if ident is not None:
+            _TABLE.put(key, entry)
+    return entry, source, "miss"
+
+
+def _build_vm(program, backend: str, ctx: "HandlerContext", fuse: bool):
+    """A fresh VM for ``program`` (warm-table misses only).
+
+    Native wiring: the ``.so`` store lives in the artifact cache, and a
+    toolchain failure is the typed ``native_unavailable`` error (explicit
+    ``backend="native"`` never silently falls back).  A store-backed
+    cache (:class:`repro.serve.store.SharedArtifactCache`) is asked for
+    another shard's ``.so`` before building and gets ours after, so the
+    fleet pays gcc once per distinct program.
+    """
+    from repro.errors import NativeToolchainError
+    from repro.ir.interp import VirtualMachine
+    native = backend == "native"
+    so_dir = ctx.cache.native_dir if native and ctx.cache is not None \
+        else None
+    store_key = None
+    if native and hasattr(ctx.cache, "fetch_native"):
+        store_key = ctx.cache.native_key(program, fuse)
+        with tracing.span("store.native_fetch") as fetch:
+            status = ctx.cache.fetch_native(store_key)
+            fetch.set(outcome=status)
+        if status in ("fetched", "local", "miss"):
+            ctx.meta["native_store"] = status
+    try:
+        with tracing.span("vm.acquire", backend=backend,
+                          program=program.name, fuse=fuse) as acquire:
+            vm = VirtualMachine(program, backend=backend,
+                                so_cache_dir=so_dir, fuse=fuse)
+            if vm.fusion_stats is not None:
+                acquire.set(**{f"fusion_{k}": v for k, v
+                               in vm.fusion_stats.as_dict().items()})
+    except NativeToolchainError as exc:
+        raise ServeError("native_unavailable", str(exc))
+    if store_key is not None and ctx.cache.publish_native(store_key):
+        ctx.meta["native_store"] = "published"
+    return vm
+
+
+def _observe_adaptive(entry: _Warm, steps: int, batch: int,
+                      ctx: "HandlerContext") -> None:
+    """Feed one ``auto`` request into the adaptive heat tracker, and swap
+    a promoted native VM into the entry.
+
+    Only updates counters and possibly *enqueues* a background compile —
+    the promotion itself lands later, off the request path, and a later
+    request takes the finished VM from the controller.
+    """
+    if entry.program_fp is None:
+        return
+    from repro.serve import adaptive
+    controller = adaptive.controller()
+    if controller is None:
+        return
+    ctx.meta["adaptive"] = controller.observe(
+        entry.program_fp, entry.vm, steps=steps, batch=batch,
+        model_name=entry.model_name)
+    if entry.vm.backend != "native":
+        entry.vm = controller.native_vm(entry.program_fp, entry.vm)
+
+
 # -- op implementations --------------------------------------------------------
 
 
@@ -311,59 +441,82 @@ def op_compile(req: dict, ctx: "HandlerContext") -> dict:
     return result
 
 
-def _decode_inputs(req: dict, model, artifact: Artifact,
+def _decode_inputs(req: dict, entry: _Warm,
                    seed: int) -> dict[str, np.ndarray]:
-    """Explicit per-inport inputs, or deterministic random ones by seed."""
+    """Explicit per-inport inputs, or deterministic random ones by seed,
+    keyed by input buffer.
+
+    Each explicit value is converted to its buffer's dtype and its
+    element count checked here, so a bad value is a ``bad_request`` for
+    its own request — or its own ``run_batch`` instance — only.
+    """
     raw = req.get("inputs")
     if raw is None:
-        from repro.sim.simulator import random_inputs
-        named = random_inputs(model, seed=seed)
-    else:
-        if not isinstance(raw, dict):
-            raise ServeError("bad_request",
-                             "inputs must be an object keyed by inport name")
-        named = {}
-        for name, value in raw.items():
-            if isinstance(value, dict) and set(value) == {"re", "im"}:
-                named[name] = (np.asarray(value["re"], dtype=float)
-                               + 1j * np.asarray(value["im"], dtype=float))
-            else:
-                try:
-                    named[name] = np.asarray(value)
-                except (ValueError, TypeError) as exc:
-                    raise ServeError("bad_request",
-                                     f"input {name!r} is not array-like: {exc}")
+        from repro.sim.simulator import draw_inputs
+        return {entry.inputs[name]: value for name, value
+                in draw_inputs(entry.inports, seed=seed).items()}
+    if not isinstance(raw, dict):
+        raise ServeError("bad_request",
+                         "inputs must be an object keyed by inport name")
+    specs = {name: (shape, dtype) for name, shape, dtype in entry.inports}
     mapped = {}
-    for name, value in named.items():
-        buffer = artifact.input_buffers.get(name)
-        if buffer is None:
-            known = ", ".join(sorted(artifact.input_buffers))
+    for name, value in raw.items():
+        if name not in specs:
+            known = ", ".join(sorted(specs))
             raise ServeError("bad_request",
                              f"unknown inport {name!r}; known: {known}")
-        mapped[buffer] = value
+        shape, dtype = specs[name]
+        try:
+            if isinstance(value, dict) and set(value) == {"re", "im"}:
+                value = (np.asarray(value["re"], dtype=float)
+                         + 1j * np.asarray(value["im"], dtype=float))
+            array = np.asarray(np.asarray(value), dtype=dtype)
+        except (ValueError, TypeError, OverflowError) as exc:
+            raise ServeError("bad_request",
+                             f"input {name!r} is not a {dtype} array: {exc}")
+        if array.size != math.prod(shape):
+            raise ServeError("bad_request",
+                             f"input {name!r} expects {math.prod(shape)} "
+                             f"elements, got {array.size}")
+        mapped[entry.inputs[name]] = array
     return mapped
+
+
+def _encode_outputs(entry: _Warm, buffers: dict) -> tuple[dict, str]:
+    """Outputs by outport name, and their digest."""
+    with tracing.span("result.encode"):
+        outputs = {name: buffers[buffer]
+                   for name, buffer in entry.outputs.items()}
+        return outputs, _output_digest(outputs)
+
+
+def _run_result(entry: _Warm, generator: str, backend: str, fuse: bool,
+                steps: int, ctx: "HandlerContext") -> dict:
+    """The leading fields of a ``run`` or ``run_batch`` result."""
+    vm = entry.vm
+    fusion = (vm.fusion_stats.as_dict()
+              if vm.fusion_stats is not None else None)
+    if fusion is not None:
+        ctx.meta["fusion"] = fusion
+    return {"model": entry.model_name, "model_fingerprint": entry.model_fp,
+            "generator": generator, "backend": backend,
+            "backend_effective": vm.backend, "fuse": fuse, "fusion": fusion,
+            "steps": steps}
 
 
 def op_run(req: dict, ctx: "HandlerContext") -> dict:
     from repro.errors import SimulationError
-    from repro.ir.interp import vm_cache_stats
     generator = _generator_name(req)
     backend = _backend_name(req)
     fuse = _fuse_flag(req)
     steps = _int_field(req, "steps", 1, 1, MAX_STEPS)
     seed = _int_field(req, "seed", 0, 0, 2 ** 32 - 1)
-    model, model_fp = resolve_model(req)
-    artifact, source = get_or_compile(model, model_fp, generator, backend,
-                                      ctx.cache, fuse)
-    ctx.meta["artifact_cache"] = source
-
-    inputs = _decode_inputs(req, model, artifact, seed)
-    _observe_adaptive(artifact, backend, steps, 1, fuse, ctx)
-    hits_before = vm_cache_stats()["hits"]
-    vm = _native_vm(artifact.program, backend, ctx, fuse,
-                    sync_key=f"{model_fp}:{generator}")
-    ctx.meta["vm_cache"] = (
-        "hit" if vm_cache_stats()["hits"] > hits_before else "miss")
+    entry, ctx.meta["artifact_cache"], ctx.meta["vm_cache"] = _acquire(
+        req, ctx, generator, backend, fuse)
+    with tracing.span("inputs"):
+        inputs = _decode_inputs(req, entry, seed)
+    _observe_adaptive(entry, steps, 1, ctx)
+    vm = entry.vm
     t0 = time.perf_counter()
     try:
         exec_result = vm.run(inputs, steps=steps)
@@ -371,28 +524,17 @@ def op_run(req: dict, ctx: "HandlerContext") -> dict:
         raise ServeError("bad_request", f"execution rejected: {exc}")
     execute_seconds = time.perf_counter() - t0
 
-    outputs = {name: exec_result.outputs[buffer]
-               for name, buffer in artifact.output_buffers.items()}
+    outputs, digest = _encode_outputs(entry, exec_result.outputs)
     totals = exec_result.counts.total
     result = {
-        "model": artifact.model_name,
-        "model_fingerprint": model_fp,
-        "generator": generator,
-        "backend": backend,
-        "backend_effective": vm.backend,
-        "fuse": fuse,
-        "fusion": (vm.fusion_stats.as_dict()
-                   if vm.fusion_stats is not None else None),
-        "steps": steps,
+        **_run_result(entry, generator, backend, fuse, steps, ctx),
         "execute_seconds": round(execute_seconds, 6),
         "counts": totals.as_dict(),
         "counts_exact": bool(getattr(vm, "counts_exact", True)),
         "total_element_ops": totals.total_element_ops,
         "peak_buffer_bytes": exec_result.peak_buffer_bytes,
-        "output_sha256": _output_digest(outputs),
+        "output_sha256": digest,
     }
-    if vm.fusion_stats is not None:
-        ctx.meta["fusion"] = vm.fusion_stats.as_dict()
     if req.get("include_outputs", True):
         result["outputs"] = outputs
     return result
@@ -413,7 +555,7 @@ def op_run_batch(req: dict, ctx: "HandlerContext") -> dict:
     ``instances`` is a list of per-instance objects, each shaped like a
     ``run`` request's input fields (``seed``, ``inputs``,
     ``include_outputs``); model/generator/backend/steps are shared.  The
-    warm VM cache serves **one** batched VM (the per-batch-size companion
+    warm table serves **one** batched VM (the per-batch-size companion
     lives inside it) rather than B singletons.  A malformed instance
     fails alone — its slot carries a typed error while the rest execute.
 
@@ -422,7 +564,6 @@ def op_run_batch(req: dict, ctx: "HandlerContext") -> dict:
     see :mod:`repro.ir.batch`).
     """
     from repro.errors import SimulationError
-    from repro.ir.interp import vm_cache_stats
     generator = _generator_name(req)
     backend = _backend_name(req)
     fuse = _fuse_flag(req)
@@ -436,35 +577,27 @@ def op_run_batch(req: dict, ctx: "HandlerContext") -> dict:
             "bad_request",
             f"run_batch accepts at most {MAX_BATCH_INSTANCES} instances, "
             f"got {len(instances)}")
-    model, model_fp = resolve_model(req)
-    artifact, source = get_or_compile(model, model_fp, generator, backend,
-                                      ctx.cache, fuse)
-    ctx.meta["artifact_cache"] = source
+    entry, ctx.meta["artifact_cache"], ctx.meta["vm_cache"] = _acquire(
+        req, ctx, generator, backend, fuse)
 
     results: list[dict | None] = [None] * len(instances)
     decoded: list[tuple[int, dict]] = []
-    for i, inst in enumerate(instances):
-        if not isinstance(inst, dict):
-            results[i] = {"ok": False, "error_type": "bad_request",
-                          "error": f"instance {i} must be an object"}
-            continue
-        try:
-            seed = _int_field(inst, "seed", 0, 0, 2 ** 32 - 1)
-            decoded.append((i, _decode_inputs(inst, model, artifact, seed)))
-        except ServeError as exc:
-            results[i] = {"ok": False, "error_type": exc.error_type,
-                          "error": exc.message}
+    with tracing.span("inputs"):
+        for i, inst in enumerate(instances):
+            if not isinstance(inst, dict):
+                results[i] = {"ok": False, "error_type": "bad_request",
+                              "error": f"instance {i} must be an object"}
+                continue
+            try:
+                seed = _int_field(inst, "seed", 0, 0, 2 ** 32 - 1)
+                decoded.append((i, _decode_inputs(inst, entry, seed)))
+            except ServeError as exc:
+                results[i] = {"ok": False, "error_type": exc.error_type,
+                              "error": exc.message}
 
-    _observe_adaptive(artifact, backend, steps, max(len(decoded), 1), fuse,
-                      ctx)
-    hits_before = vm_cache_stats()["hits"]
-    vm = _native_vm(artifact.program, backend, ctx, fuse,
-                    sync_key=f"{model_fp}:{generator}")
-    ctx.meta["vm_cache"] = (
-        "hit" if vm_cache_stats()["hits"] > hits_before else "miss")
+    _observe_adaptive(entry, steps, max(len(decoded), 1), ctx)
+    vm = entry.vm
     ctx.meta["batched"] = len(decoded)
-    if vm.fusion_stats is not None:
-        ctx.meta["fusion"] = vm.fusion_stats.as_dict()
 
     execute_seconds = 0.0
     counts: dict = {}
@@ -485,25 +618,15 @@ def op_run_batch(req: dict, ctx: "HandlerContext") -> dict:
         counts_exact = batch_res.counts_exact
         peak_buffer_bytes = batch_res.peak_buffer_bytes
         for (i, _), out in zip(decoded, batch_res.outputs):
-            outputs = {name: out[buffer]
-                       for name, buffer in artifact.output_buffers.items()}
-            entry: dict = {"ok": True,
-                           "output_sha256": _output_digest(outputs)}
+            outputs, digest = _encode_outputs(entry, out)
+            result: dict = {"ok": True, "output_sha256": digest}
             if instances[i].get("include_outputs",
                                 req.get("include_outputs", True)):
-                entry["outputs"] = outputs
-            results[i] = entry
+                result["outputs"] = outputs
+            results[i] = result
 
     return {
-        "model": artifact.model_name,
-        "model_fingerprint": model_fp,
-        "generator": generator,
-        "backend": backend,
-        "backend_effective": vm.backend,
-        "fuse": fuse,
-        "fusion": (vm.fusion_stats.as_dict()
-                   if vm.fusion_stats is not None else None),
-        "steps": steps,
+        **_run_result(entry, generator, backend, fuse, steps, ctx),
         "batch": len(instances),
         "executed": len(decoded),
         "execute_seconds": round(execute_seconds, 6),
@@ -542,7 +665,6 @@ def op_ranges(req: dict, ctx: "HandlerContext") -> dict:
 def op_report(req: dict, ctx: "HandlerContext") -> dict:
     """Per-generator comparison table for one model (counts + memory)."""
     from repro.codegen import ALL_GENERATORS
-    from repro.sim.simulator import random_inputs
     backend = _backend_name(req)
     fuse = _fuse_flag(req)
     steps = _int_field(req, "steps", 1, 1, MAX_STEPS)
@@ -550,26 +672,24 @@ def op_report(req: dict, ctx: "HandlerContext") -> dict:
     generators = req.get("generators", list(ALL_GENERATORS))
     if not isinstance(generators, list) or not generators:
         raise ServeError("bad_request", "generators must be a non-empty list")
-    model, model_fp = resolve_model(req)
-    named = random_inputs(model, seed=seed)
     artifact_hits = artifact_misses = 0
+    resolved: list = []
     rows = []
     for generator in generators:
         _generator_name({"generator": generator})
-        artifact, source = get_or_compile(model, model_fp, generator,
-                                          backend, ctx.cache, fuse)
+        entry, source, _ = _acquire(req, ctx, generator, backend, fuse,
+                                    resolved)
         artifact_hits += source == "hit"
         artifact_misses += source == "miss"
-        vm = _native_vm(artifact.program, backend, ctx, fuse,
-                        sync_key=f"{model_fp}:{generator}")
-        inputs = {artifact.input_buffers[n]: v for n, v in named.items()}
-        totals = vm.run(inputs, steps=steps).counts.total
+        vm = entry.vm
+        totals = vm.run(_decode_inputs({}, entry, seed),
+                        steps=steps).counts.total
         rows.append({
             "generator": generator,
             "total_element_ops": totals.total_element_ops,
             "flops": totals.flops,
-            "static_bytes": artifact.stats["static_bytes"],
-            "eliminated_elements": artifact.stats["eliminated_elements"],
+            "static_bytes": entry.stats["static_bytes"],
+            "eliminated_elements": entry.stats["eliminated_elements"],
             "fusion": (vm.fusion_stats.as_dict()
                        if vm.fusion_stats is not None else None),
         })
@@ -582,7 +702,7 @@ def op_report(req: dict, ctx: "HandlerContext") -> dict:
             round(baseline["total_element_ops"]
                   / row["total_element_ops"], 3)
             if row["total_element_ops"] else None)
-    return {"model": model.name, "model_fingerprint": model_fp,
+    return {"model": entry.model_name, "model_fingerprint": entry.model_fp,
             "steps": steps, "fuse": fuse, "rows": rows}
 
 
@@ -666,11 +786,10 @@ def _attach_adaptive_meta(ctx: HandlerContext, spans: list) -> None:
 
     Promotions complete on a background thread — no request is in flight
     to carry the news — so completed events, the ``native.promote`` trace
-    spans, the current state distribution, and the cumulative VM-cache
+    spans, the current state distribution, and the cumulative warm-table
     eviction count ride the meta of whatever this worker handles next.
     The server folds them into counters and the per-worker state gauge.
     """
-    from repro.ir.interp import vm_cache_stats
     from repro.serve import adaptive
     controller = adaptive.controller()
     if controller is not None:
@@ -683,6 +802,5 @@ def _attach_adaptive_meta(ctx: HandlerContext, spans: list) -> None:
                 spans.extend(event.pop("spans", ()))
             ctx.meta["adaptive_events"] = events
         ctx.meta["adaptive_states"] = controller.state_counts()
-    evictions = vm_cache_stats()["evictions"]
-    if evictions:
-        ctx.meta["vm_cache_evictions"] = evictions
+    if _TABLE.evictions:
+        ctx.meta["vm_cache_evictions"] = _TABLE.evictions

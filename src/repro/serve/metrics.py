@@ -175,7 +175,7 @@ class MetricsRegistry:
             "(toolchain failure / compile error)")
         self.vm_evictions = Counter(
             "vm_cache_evictions_total",
-            "warm VM cache LRU evictions, summed across workers")
+            "warm table LRU evictions, summed across workers")
         self.router_events = Counter(
             "router_events_total",
             "cluster routing: routed, forwarded, failover, unreachable, "

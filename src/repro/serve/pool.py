@@ -1,7 +1,7 @@
 """Process worker pool: warm caches, timeouts, crash recovery, load shed.
 
 Each worker is a separate OS process holding its own warm state — the
-module-level VM cache (:func:`repro.ir.interp.cached_vm`) plus an
+warm table (:class:`repro.serve.handlers.WarmTable`) plus an
 :class:`~repro.serve.cache.ArtifactCache` handle on the shared on-disk
 store.  Process isolation is what makes concurrency safe here: a
 :class:`~repro.ir.interp.VirtualMachine` is not reentrant (its buffers
@@ -79,12 +79,12 @@ def _heat_store(cache):
 
 
 def _configure_runtime(cache, config: "PoolConfig") -> None:
-    """Apply per-process serving knobs: VM cache bound and the adaptive
-    promotion controller.  Called once per worker process (and once for
-    the inline ``workers=0`` path), before any request is handled."""
-    if config.vm_cache_max is not None:
-        from repro.ir.interp import set_vm_cache_limit
-        set_vm_cache_limit(config.vm_cache_max)
+    """Apply per-process serving knobs: a fresh warm table at its bound
+    and the adaptive promotion controller.  Called once per worker
+    process (and once for the inline ``workers=0`` path), before any
+    request is handled."""
+    from repro.serve.handlers import configure_warm_table
+    configure_warm_table(config.vm_cache_max)
     if config.adaptive is not None:
         from repro.serve import adaptive
         so_dir = cache.native_dir if cache is not None else None
@@ -214,7 +214,7 @@ class PoolConfig:
     #: background promotion of hot ``backend="auto"`` programs to native.
     #: ``None`` (the default) leaves the adaptive tier off.
     adaptive: object | None = None
-    #: Per-worker warm VM cache bound (``None`` keeps the interp default).
+    #: Per-worker warm table bound (``None`` keeps the default of 64).
     vm_cache_max: int | None = None
     #: ``host:port`` of a shared artifact store; workers then build a
     #: :class:`~repro.serve.store.SharedArtifactCache` (remote

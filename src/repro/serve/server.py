@@ -63,8 +63,8 @@ class ServeConfig:
     promote_min_runs: int = 2
     #: Background native compiles allowed in flight per worker.
     promote_compiles: int = 1
-    #: Warm per-worker VM cache bound (LRU evicted beyond); None keeps
-    #: the library default.
+    #: Per-worker warm table bound (LRU evicted beyond); None keeps the
+    #: default of 64.
     vm_cache_max: int | None = None
     allow_debug: bool = False
     #: Whether the ``shutdown`` op is honoured (CI smoke and tests use it;

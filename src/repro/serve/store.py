@@ -468,13 +468,6 @@ class SharedArtifactCache(ArtifactCache):
             self._stats.update(remote_hits=0, remote_errors=0,
                                remote_publishes=0, native_fetched=0,
                                native_published=0)
-        #: Memoized native-store sync decisions, keyed by the caller's
-        #: cheap per-artifact key (one fuse+lower+fingerprint chain and
-        #: at most one has/put round-trip per artifact per process).
-        self._native_fetch_seen: dict[str, str] = {}
-        self._native_publish_seen: set[str] = set()
-        self._native_keys: dict[str, str] = {}
-        self._native_lock = threading.Lock()
 
     def heat_store(self) -> HeatStore:
         return HeatStore(self.remote)
@@ -527,18 +520,15 @@ class SharedArtifactCache(ArtifactCache):
 
     # -- native .so bundles ------------------------------------------------
 
-    def _native_key(self, program, fuse: bool, memo: str) -> Optional[str]:
+    def native_key(self, program, fuse: bool) -> Optional[str]:
         """Shared-object store key for ``program`` as the VM builds it.
 
         Mirrors the VM's native pipeline exactly (fuse, then physical
         window lowering) so the key matches what
-        :func:`repro.native.sharedlib.load_shared_program` computes.
-        Returns None when no toolchain is available.
+        :func:`repro.native.sharedlib.load_shared_program` computes; pass
+        ``fuse=False`` for a program that is already fused.  Returns None
+        when no toolchain is available.
         """
-        with self._native_lock:
-            cached = self._native_keys.get(memo)
-        if cached is not None:
-            return cached or None
         from repro.errors import NativeToolchainError
         from repro.ir.fuse import fuse_program, lower_windows
         from repro.ir.vectorize import fingerprint
@@ -547,42 +537,26 @@ class SharedArtifactCache(ArtifactCache):
         try:
             identity = compiler_identity(None)
         except NativeToolchainError:
-            with self._native_lock:
-                self._native_keys[memo] = ""
             return None
         if fuse:
             program, _ = fuse_program(program)
-        key = shared_cache_key(fingerprint(lower_windows(program)),
-                               identity, tuple(DEFAULT_FLAGS))
-        with self._native_lock:
-            self._native_keys[memo] = key
-        return key
+        return shared_cache_key(fingerprint(lower_windows(program)),
+                                identity, tuple(DEFAULT_FLAGS))
 
     def _so_paths(self, key: str):
         from repro.native.sharedlib import _cache_paths
         return _cache_paths(self.native_dir, key)
 
-    def fetch_native(self, program, fuse: bool, memo: str) -> str:
-        """Materialize the remote ``.so`` bundle locally if we lack it.
+    def fetch_native(self, key: Optional[str]) -> str:
+        """Materialize the remote ``.so`` bundle for ``key`` locally if we
+        lack it.
 
         Returns ``"local"`` (already on disk), ``"fetched"`` (downloaded
         from the store), ``"miss"`` (store lacks it — caller compiles),
-        ``"unavailable"`` (no toolchain) or ``"error"``.  Memoized per
-        ``memo`` so the request hot path pays nothing after the first
-        sighting of an artifact.
+        ``"unavailable"`` (no toolchain: ``key`` is None) or ``"error"``.
+        Serve calls it only when it builds a native VM, so a warm request
+        never reaches the store.
         """
-        with self._native_lock:
-            seen = self._native_fetch_seen.get(memo)
-        if seen is not None:
-            return seen
-        status = self._fetch_native_uncached(program, fuse, memo)
-        if status != "error":  # transient store outages retry next request
-            with self._native_lock:
-                self._native_fetch_seen[memo] = status
-        return status
-
-    def _fetch_native_uncached(self, program, fuse: bool, memo: str) -> str:
-        key = self._native_key(program, fuse, memo)
         if key is None:
             return "unavailable"
         so_path, c_path, json_path = self._so_paths(key)
@@ -619,36 +593,28 @@ class SharedArtifactCache(ArtifactCache):
         self._count("native_fetched")
         return "fetched"
 
-    def publish_native(self, program, fuse: bool, memo: str) -> bool:
-        """Publish this shard's compiled ``.so`` (if any) to the store.
+    def publish_native(self, key: Optional[str]) -> bool:
+        """Publish this shard's compiled ``.so`` for ``key`` (if any) to
+        the store.
 
-        Called after a native VM is built; at most one has/put exchange
-        per ``memo`` per process.  Returns True when this call uploaded
-        the bundle.
+        Called after a native VM is built; one has/put exchange per call.
+        Returns True when this call uploaded the bundle.  A failure
+        during a store outage is retried the next time the key is built.
         """
-        with self._native_lock:
-            if memo in self._native_publish_seen:
+        if key is None:
+            return False
+        so_path, c_path, json_path = self._so_paths(key)
+        if not so_path.exists():
+            return False
+        try:
+            if self.remote.has("native", key):
                 return False
-        key = self._native_key(program, fuse, memo)
-        published = False
-        if key is not None:
-            so_path, c_path, json_path = self._so_paths(key)
-            if so_path.exists():
-                try:
-                    if not self.remote.has("native", key):
-                        blob = pack_native(
-                            so_path.read_bytes(),
-                            c_path.read_text() if c_path.exists() else "",
-                            json_path.read_text() if json_path.exists()
-                            else "")
-                        self.remote.put("native", key, blob)
-                        self._count("native_published")
-                        published = True
-                except (StoreError, OSError):
-                    self._count("remote_errors")
-                    return False
-            else:
-                return False  # nothing built yet; retry on a later request
-        with self._native_lock:
-            self._native_publish_seen.add(memo)
-        return published
+            self.remote.put("native", key, pack_native(
+                so_path.read_bytes(),
+                c_path.read_text() if c_path.exists() else "",
+                json_path.read_text() if json_path.exists() else ""))
+        except (StoreError, OSError):
+            self._count("remote_errors")
+            return False
+        self._count("native_published")
+        return True

@@ -139,20 +139,35 @@ def random_inputs(model: Model | AnalyzedModel, seed: int = 0,
     Floats are uniform in [-scale, scale]; uint32 signals get full-range
     words; complex signals get independent real/imaginary parts.
     """
+    return draw_inputs(inport_specs(model), seed=seed, scale=scale)
+
+
+def inport_specs(model: Model | AnalyzedModel) -> list[tuple]:
+    """Each Inport's ``(name, shape, dtype)``, in the model's inport order
+    (the analysis step of :func:`random_inputs`)."""
     analyzed = model if isinstance(model, AnalyzedModel) else analyze(model)
-    rng = np.random.default_rng(seed)
-    inputs: dict[str, np.ndarray] = {}
+    specs = []
     for block in analyzed.inports:
         sig = analyzed.signal_of(block.name)
-        shape = sig.shape if sig.shape else ()
-        if sig.dtype == "uint32":
-            inputs[block.name] = rng.integers(
+        specs.append((block.name, sig.shape if sig.shape else (), sig.dtype))
+    return specs
+
+
+def draw_inputs(specs, seed: int = 0,
+                scale: float = 1.0) -> dict[str, np.ndarray]:
+    """The seeded draws of :func:`random_inputs` over ``(name, shape,
+    dtype)`` specs — the one place the input rng stream is defined."""
+    rng = np.random.default_rng(seed)
+    inputs: dict[str, np.ndarray] = {}
+    for name, shape, dtype in specs:
+        if dtype == "uint32":
+            inputs[name] = rng.integers(
                 0, 2 ** 32, size=shape, dtype="uint64").astype("uint32")
-        elif sig.dtype == "complex128":
-            inputs[block.name] = (
+        elif dtype == "complex128":
+            inputs[name] = (
                 rng.uniform(-scale, scale, size=shape)
                 + 1j * rng.uniform(-scale, scale, size=shape)
             )
         else:
-            inputs[block.name] = rng.uniform(-scale, scale, size=shape)
+            inputs[name] = rng.uniform(-scale, scale, size=shape)
     return inputs

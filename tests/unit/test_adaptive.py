@@ -2,9 +2,9 @@
 
 Covers the :mod:`repro.serve.adaptive` controller (decay, cost-seeded
 and fixed thresholds, state transitions, demotion permanence, tracked-
-entry bound, event draining) and the :mod:`repro.ir.interp` promotion
-overlay it drives (``promote_fingerprint`` / ``demote_fingerprint`` /
-``install_cached_vm`` / ``set_vm_cache_limit``).
+entry bound, event draining) and how a promotion reaches the serve warm
+table (:mod:`repro.serve.handlers`): the controller owns promotion
+state, the table owns the VMs.
 """
 
 import time
@@ -13,11 +13,7 @@ import numpy as np
 import pytest
 
 from repro.ir.build import add, const, load, var
-from repro.ir.interp import (VirtualMachine, cached_vm, clear_promotions,
-                             clear_vm_cache, demote_fingerprint,
-                             install_cached_vm, promote_fingerprint,
-                             promotion_state, set_vm_cache_limit,
-                             vm_cache_limit, vm_cache_stats)
+from repro.ir.interp import VirtualMachine
 from repro.ir.ops import Assign, For, Program
 from repro.ir.vectorize import fingerprint
 from repro.native import find_compiler
@@ -28,6 +24,8 @@ from repro.serve.adaptive import (CALIBRATION_FACTOR_BOUNDS,
                                   AdaptiveController, calibrate_from_spans,
                                   estimate_compile_ns, estimate_step_ns,
                                   modeled_step_ns, span_overhead_ratios)
+from repro.serve.cache import ArtifactCache
+from repro.serve.handlers import configure_warm_table, handle_request
 
 
 def make_program(name="adapt", n=8):
@@ -41,14 +39,18 @@ def make_program(name="adapt", n=8):
     return p
 
 
+def observe(ctl, program, fuse=True, **kwargs):
+    """One ``auto`` request for ``program``, as the serve table feeds it."""
+    return ctl.observe(fingerprint(program),
+                       VirtualMachine(program, backend="auto", fuse=fuse),
+                       **kwargs)
+
+
 @pytest.fixture(autouse=True)
 def clean_state():
-    previous = vm_cache_limit()
     yield
     adaptive.configure(None)
-    clear_promotions()
-    clear_vm_cache()
-    set_vm_cache_limit(previous)
+    configure_warm_table()
 
 
 class TestEstimates:
@@ -70,17 +72,17 @@ class TestHeatTracking:
     def test_heat_accumulates_steps_times_batch(self):
         ctl = AdaptiveController(AdaptiveConfig(threshold_ms=1e12))
         p = make_program()
-        ctl.observe(p, steps=10, batch=3)
-        status = ctl.observe(p, steps=5, batch=1)
+        observe(ctl, p, steps=10, batch=3)
+        status = observe(ctl, p, steps=5, batch=1)
         assert status["heat"] == pytest.approx(35.0, rel=0.01)
 
     def test_heat_decays_with_half_life(self):
         ctl = AdaptiveController(AdaptiveConfig(threshold_ms=1e12,
                                                 half_life_seconds=0.05))
         p = make_program()
-        first = ctl.observe(p, steps=100)
+        first = observe(ctl, p, steps=100)
         time.sleep(0.12)
-        second = ctl.observe(p, steps=1)
+        second = observe(ctl, p, steps=1)
         # Two-plus half-lives: the original 100 units decayed below ~30.
         assert second["heat"] < first["heat"] * 0.4
 
@@ -88,9 +90,25 @@ class TestHeatTracking:
         ctl = AdaptiveController(AdaptiveConfig(threshold_ms=1e12,
                                                 max_tracked=3))
         for i in range(6):
-            ctl.observe(make_program(name=f"m{i}", n=4 + i), steps=1)
+            observe(ctl, make_program(name=f"m{i}", n=4 + i), steps=1)
         counts = ctl.state_counts()
         assert sum(counts.values()) == 3
+
+    def test_lru_never_forgets_compiling_or_demoted(self):
+        ctl = AdaptiveController(AdaptiveConfig(threshold_ms=0.0,
+                                                min_runs=1, max_tracked=2))
+        submitted = []
+        ctl._submit = lambda entry, vm: submitted.append(entry)
+        observe(ctl, make_program(name="a", n=4), steps=1)
+        observe(ctl, make_program(name="b", n=5), steps=1)
+        ctl._finish(submitted[0], "demoted", time.perf_counter(), None, "x")
+        ctl.config.threshold_ms = 1e12  # newcomers stay cold...
+        for i in range(4):  # ...and churn only among themselves
+            observe(ctl, make_program(name=f"c{i}", n=6 + i), steps=1)
+        counts = ctl.state_counts()
+        assert counts["demoted"] == 1 and counts["compiling"] == 1
+        assert ctl.state_of(fingerprint(make_program(name="a", n=4))) \
+            == "demoted"
 
 
 def _vm_run_span(program="adapt", backend="vector", steps=10, wall=1e-3):
@@ -145,8 +163,8 @@ class TestOverheadCalibration:
         ctl = AdaptiveController(AdaptiveConfig(min_runs=2))
         ctl._submit = lambda entry, program: None
         p = make_program()
-        ctl.observe(p, steps=1, model_name="adapt")
-        ctl.observe(p, steps=1, model_name="adapt")  # estimates step_ns
+        observe(ctl, p, steps=1, model_name="adapt")
+        observe(ctl, p, steps=1, model_name="adapt")  # estimates step_ns
         assert ctl.overhead_factor is None            # constant still rules
         entry = next(iter(ctl._entries.values()))
         assert entry.step_ns == pytest.approx(modeled_step_ns(p))
@@ -170,9 +188,9 @@ class TestPromotionPolicy:
                                                 min_runs=3))
         ctl._submit = lambda entry, program: None  # policy only, no compile
         p = make_program()
-        assert ctl.observe(p, steps=1)["state"] == "cold"
-        assert ctl.observe(p, steps=1)["state"] == "cold"
-        assert ctl.observe(p, steps=1)["state"] == "compiling"
+        assert observe(ctl, p, steps=1)["state"] == "cold"
+        assert observe(ctl, p, steps=1)["state"] == "cold"
+        assert observe(ctl, p, steps=1)["state"] == "compiling"
 
     def test_cost_seeded_threshold_needs_enough_work(self):
         ctl = AdaptiveController(AdaptiveConfig())  # seeded from cost model
@@ -182,11 +200,11 @@ class TestPromotionPolicy:
         compile_ns = estimate_compile_ns(p)
         cheap_steps = 1
         assert cheap_steps * 2 * step_ns < compile_ns, "fixture too hot"
-        assert ctl.observe(p, steps=cheap_steps)["state"] == "cold"
-        assert ctl.observe(p, steps=cheap_steps)["state"] == "cold"
+        assert observe(ctl, p, steps=cheap_steps)["state"] == "cold"
+        assert observe(ctl, p, steps=cheap_steps)["state"] == "cold"
         # Enough served work to pay for the compile: promotes.
         hot_steps = int(compile_ns / step_ns) + 1
-        assert ctl.observe(p, steps=hot_steps)["state"] == "compiling"
+        assert observe(ctl, p, steps=hot_steps)["state"] == "compiling"
 
     def test_threshold_override_beats_seeded(self):
         cfg = AdaptiveConfig(threshold_ms=1e12)
@@ -194,8 +212,30 @@ class TestPromotionPolicy:
         ctl._submit = lambda entry, program: None
         p = make_program()
         for _ in range(5):
-            status = ctl.observe(p, steps=10 ** 6)
+            status = observe(ctl, p, steps=10 ** 6)
         assert status["state"] == "cold"  # fixed threshold is enormous
+
+
+def _motivating_program():
+    from repro.codegen import make_generator
+    from repro.zoo import build_model
+    return make_generator("frodo").generate(build_model("Motivating")).program
+
+
+def _count_vm_builds(monkeypatch) -> list:
+    builds = []
+    real_init = VirtualMachine.__init__
+
+    def counting_init(self, *args, **kwargs):
+        builds.append(kwargs.get("backend", args[1] if len(args) > 1
+                                 else "auto"))
+        real_init(self, *args, **kwargs)
+    monkeypatch.setattr(VirtualMachine, "__init__", counting_init)
+    return builds
+
+
+RUN = {"op": "run", "model": "Motivating", "steps": 3,
+       "include_outputs": False}
 
 
 class TestPromotionExecution:
@@ -206,11 +246,12 @@ class TestPromotionExecution:
                                                 min_runs=2),
                                  so_cache_dir=str(tmp_path))
         p = make_program()
-        ctl.observe(p, steps=1, model_name="adapt")
-        ctl.observe(p, steps=1, model_name="adapt")
+        fp = fingerprint(p)
+        vm = VirtualMachine(p, backend="auto")
+        ctl.observe(fp, vm, steps=1, model_name="adapt")
+        ctl.observe(fp, vm, steps=1, model_name="adapt")
         assert ctl.wait_idle(timeout=60)
-        assert ctl.state_of(p) == "promoted"
-        assert promotion_state(fingerprint(p)) == "promoted"
+        assert ctl.state_of(fp) == "promoted"
         events = ctl.drain_events()
         assert len(events) == 1
         assert events[0]["event"] == "promoted"
@@ -220,11 +261,31 @@ class TestPromotionExecution:
         names = {s["name"] for s in events[0].get("spans", ())}
         assert "native.promote" in names
         assert ctl.drain_events() == []  # drained exactly once
-        # The promoted VM was pre-installed: cached_vm(auto) is a pure hit.
-        hits = vm_cache_stats()["hits"]
-        vm = cached_vm(p, backend="auto", fuse=True)
-        assert vm.backend == "native"
-        assert vm_cache_stats()["hits"] == hits + 1
+        # The promoted VM waits on the controller for the next request.
+        native = ctl.native_vm(fp, vm)
+        assert native.backend == "native" and native.fuse == vm.fuse
+        x = {"x": np.arange(8.0)}
+        np.testing.assert_array_equal(native.run(x).outputs["y"],
+                                      vm.run(x).outputs["y"])
+
+    def test_auto_request_after_promotion_runs_native_without_build(
+            self, tmp_path, monkeypatch):
+        if find_compiler() is None:
+            pytest.skip("no C compiler on PATH")
+        cache = ArtifactCache(tmp_path / "cache")
+        ctl = adaptive.configure(AdaptiveConfig(threshold_ms=0.0,
+                                                min_runs=2),
+                                 so_cache_dir=cache.native_dir)
+        first, _ = handle_request(RUN, cache)
+        handle_request(RUN, cache)  # hot enough: the compile starts
+        assert ctl.wait_idle(timeout=60)
+        builds = _count_vm_builds(monkeypatch)
+        result, meta = handle_request(RUN, cache)
+        assert result["backend_effective"] == "native"
+        assert meta["vm_cache"] == "hit" and builds == []
+        assert result["output_sha256"] == first["output_sha256"]
+        assert result["total_element_ops"] == first["total_element_ops"]
+        assert result["fusion"] == first["fusion"]
 
     def test_toolchain_failure_demotes_permanently(self, tmp_path,
                                                    monkeypatch):
@@ -233,75 +294,105 @@ class TestPromotionExecution:
                                                 min_runs=1),
                                  so_cache_dir=str(tmp_path))
         p = make_program()
-        ctl.observe(p, steps=1)
+        fp = fingerprint(p)
+        vm = VirtualMachine(p, backend="auto")
+        ctl.observe(fp, vm, steps=1)
         assert ctl.wait_idle(timeout=30)
-        assert ctl.state_of(p) == "demoted"
+        assert ctl.state_of(fp) == "demoted"
         events = ctl.drain_events()
         assert events[0]["event"] == "demoted"
         assert "error" in events[0]
-        assert promotion_state(fingerprint(p)) == "demoted"
-        # Demotion is permanent: promotion attempts are refused...
-        assert promote_fingerprint(fingerprint(p)) is False
-        # ...and auto keeps serving on the vector path.
+        # Demotion is permanent: however hot, no compile is retried...
         monkeypatch.delenv("REPRO_NO_CC")
-        vm = cached_vm(p, backend="auto")
-        assert vm.backend != "native"
+        for _ in range(3):
+            assert ctl.observe(fp, vm, steps=10 ** 6)["state"] == "demoted"
+        assert ctl.wait_idle(timeout=30) and ctl.drain_events() == []
+        # ...and auto keeps serving on the vector path.
+        assert ctl.native_vm(fp, vm) is vm
         out = vm.run({"x": np.arange(8.0)}, steps=1)
         np.testing.assert_allclose(out.outputs["y"], np.arange(8.0) + 1)
 
 
 class TestInterpOverlay:
+    """What replaced the promotion overlay of ``repro.ir.interp``: the
+    controller owns promotion state and the serve warm table owns the
+    VMs it swaps in."""
+
     def test_promotion_state_transitions(self):
-        fp = "f" * 40
-        assert promotion_state(fp) == "none"
-        assert promote_fingerprint(fp) is True
-        assert promotion_state(fp) == "promoted"
-        demote_fingerprint(fp)
-        assert promotion_state(fp) == "demoted"
-        assert promote_fingerprint(fp) is False  # demotion wins forever
-        assert promotion_state(fp) == "demoted"
+        ctl = AdaptiveController(AdaptiveConfig(threshold_ms=0.0,
+                                                min_runs=1))
+        submitted = []
+        ctl._submit = lambda entry, vm: submitted.append(entry)
+        p = make_program()
+        fp = fingerprint(p)
+        vm = VirtualMachine(p, backend="auto")
+        assert ctl.state_of(fp) is None
+        assert ctl.observe(fp, vm, steps=1)["state"] == "compiling"
+        [entry] = submitted
+        ctl._finish(entry, "demoted", time.perf_counter(), None, "boom")
+        assert ctl.state_of(fp) == "demoted"
+        for _ in range(3):  # demotion wins forever
+            assert ctl.observe(fp, vm, steps=10 ** 6)["state"] == "demoted"
+        assert len(submitted) == 1
+        assert ctl.native_vm(fp, vm) is vm
 
     def test_promotion_keyed_by_fuse_flag(self):
-        fp = "a" * 40
-        promote_fingerprint(fp, fuse=True)
-        assert promotion_state(fp, fuse=True) == "promoted"
-        assert promotion_state(fp, fuse=False) == "none"
-
-    def test_install_cached_vm_swaps_entry(self):
+        ctl = AdaptiveController(AdaptiveConfig(threshold_ms=0.0,
+                                                min_runs=1))
+        ctl._submit = lambda entry, vm: None
         p = make_program()
-        original = cached_vm(p, backend="vector")
-        replacement = VirtualMachine(p, backend="vector")
-        install_cached_vm(p, replacement)
-        assert cached_vm(p, backend="vector") is replacement
-        assert cached_vm(p, backend="vector") is not original
+        fp = fingerprint(p)
+        observe(ctl, p, fuse=True, steps=1)
+        assert ctl.state_of(fp, fuse=True) == "compiling"
+        assert ctl.state_of(fp, fuse=False) is None
+        assert observe(ctl, p, fuse=False, steps=1)["state"] == "compiling"
+        assert len(ctl._entries) == 2
 
-    def test_vm_cache_limit_bounds_and_counts_evictions(self):
-        clear_vm_cache()
-        previous = set_vm_cache_limit(2)
-        assert previous >= 1
-        evictions_before = vm_cache_stats()["evictions"]
-        for i in range(4):
-            cached_vm(make_program(name=f"lru{i}", n=4 + i),
-                      backend="vector")
-        stats = vm_cache_stats()
-        assert stats["entries"] == 2
-        assert stats["evictions"] == evictions_before + 2
+    def test_promoted_vm_swaps_into_table_entry(self, tmp_path,
+                                                monkeypatch):
+        cache = ArtifactCache(tmp_path)
+        ctl = adaptive.configure(AdaptiveConfig(threshold_ms=1e12))
+        first, _ = handle_request(RUN, cache)
+        [entry] = ctl._entries.values()
+        # Land a promotion by hand; any VM kind stands in for native.
+        entry.state = "promoted"
+        entry.vm = VirtualMachine(_motivating_program(), backend="closure")
+        builds = _count_vm_builds(monkeypatch)
+        result, meta = handle_request(RUN, cache)
+        assert result["backend_effective"] == "closure"
+        assert meta["vm_cache"] == "hit" and builds == []
+        assert result["output_sha256"] == first["output_sha256"]
+        assert entry.vm is None  # handed over to the table exactly once
+
+    def test_vm_cache_limit_bounds_and_counts_evictions(self, tmp_path):
+        table = configure_warm_table(2)
+        cache = ArtifactCache(tmp_path)
+        for model in ("Motivating", "Simpson", "HT", "Motivating"):
+            _, meta = handle_request({**RUN, "model": model}, cache)
+        assert meta["vm_cache"] == "miss"  # evicted by the two between
+        assert len(table) == 2
+        assert table.evictions == 2
+        assert meta["vm_cache_evictions"] == 2
 
     def test_vm_cache_limit_rejects_nonpositive(self):
         with pytest.raises(ValueError):
-            set_vm_cache_limit(0)
+            configure_warm_table(0)
 
     def test_demoted_auto_never_raises_toolchain_error(self, monkeypatch,
                                                        tmp_path):
-        p = make_program()
-        fp = fingerprint(p)
-        promote_fingerprint(fp, so_cache_dir=str(tmp_path))
+        ctl = adaptive.configure(AdaptiveConfig(threshold_ms=1e12),
+                                 so_cache_dir=str(tmp_path / "empty"))
+        cache = ArtifactCache(tmp_path / "cache")
+        handle_request(RUN, cache)
+        [entry] = ctl._entries.values()
+        entry.state = "promoted"  # its VM already taken by another entry
         monkeypatch.setenv("REPRO_NO_CC", "1")
-        # Promoted but the .so store is empty and the toolchain is gone:
-        # resolution must demote and fall back, not raise.
-        vm = cached_vm(p, backend="auto")
-        assert vm.backend != "native"
-        assert promotion_state(fp) == "demoted"
+        # Promoted, but the .so store is empty and the toolchain is gone:
+        # the swap must demote and fall back, not raise.
+        result, meta = handle_request(RUN, cache)
+        assert result["backend_effective"] != "native"
+        assert entry.state == "demoted"
+        assert [e["event"] for e in meta["adaptive_events"]] == ["demoted"]
 
 
 class TestHeatPersistence:
@@ -317,7 +408,7 @@ class TestHeatPersistence:
         ctl = AdaptiveController(AdaptiveConfig(threshold_ms=1e12),
                                  heat_store=heat)
         p = make_program()
-        ctl.observe(p, steps=10, batch=2, model_name="adapt")
+        observe(ctl, p, steps=10, batch=2, model_name="adapt")
         record = heat.load(fingerprint(p), True)
         assert record is not None
         assert record["heat"] == pytest.approx(20.0, rel=0.01)
@@ -334,12 +425,12 @@ class TestHeatPersistence:
         first = AdaptiveController(AdaptiveConfig(threshold_ms=1e12),
                                    heat_store=heat)
         for _ in range(3):
-            first.observe(p, steps=50)
+            observe(first, p, steps=50)
         # A fresh controller (an inheriting shard) starts warm: its first
         # observation lands on top of the persisted 150 units.
         second = AdaptiveController(AdaptiveConfig(threshold_ms=1e12),
                                     heat_store=heat)
-        status = second.observe(p, steps=1)
+        status = observe(second, p, steps=1)
         assert status["heat"] > 100.0
         entry = second._entries[(fingerprint(p), True)]
         assert entry.invocations >= 3
@@ -354,7 +445,7 @@ class TestHeatPersistence:
         ctl = AdaptiveController(
             AdaptiveConfig(threshold_ms=1e12, half_life_seconds=1.0),
             heat_store=heat)
-        status = ctl.observe(p, steps=1)
+        status = observe(ctl, p, steps=1)
         assert status["heat"] < 2.0
 
     def test_garbage_record_is_ignored(self, tmp_path):
@@ -364,10 +455,10 @@ class TestHeatPersistence:
                   {"heat": "not-a-number", "invocations": True})
         ctl = AdaptiveController(AdaptiveConfig(threshold_ms=1e12),
                                  heat_store=heat)
-        status = ctl.observe(p, steps=5)
+        status = observe(ctl, p, steps=5)
         assert status["heat"] == pytest.approx(5.0, rel=0.01)
 
     def test_no_store_means_no_seeding_io(self):
         ctl = AdaptiveController(AdaptiveConfig(threshold_ms=1e12))
-        status = ctl.observe(make_program(), steps=5)
+        status = observe(ctl, make_program(), steps=5)
         assert status["heat"] == pytest.approx(5.0, rel=0.01)

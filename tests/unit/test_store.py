@@ -161,6 +161,30 @@ class TestSharedArtifactCache:
         assert cache.get(key) is not None  # overlay still serves
 
 
+class TestNativeExchange:
+    def test_so_crosses_shards_on_misses_only(self, tmp_path, remote):
+        from repro.native import find_compiler
+        from repro.native.sharedlib import clear_shared_program_cache
+        from repro.serve.handlers import handle_request
+        if find_compiler() is None:
+            pytest.skip("no C compiler on PATH")
+        # A process-wide loaded image would skip writing shard A's .so.
+        clear_shared_program_cache()
+        req = {"op": "run", "model": "Motivating", "backend": "native",
+               "include_outputs": False}
+        shard_a = SharedArtifactCache(tmp_path / "a", remote)
+        _, meta = handle_request(req, shard_a)
+        assert meta["native_store"] == "published"  # built here, shared
+        shard_b = SharedArtifactCache(tmp_path / "b", remote)
+        _, meta = handle_request(req, shard_b)
+        assert meta["native_store"] == "fetched"  # a download, no gcc
+        # A warm hit never reaches the store, even when it is gone.
+        shard_b.remote = RemoteStore("127.0.0.1", 1, timeout=0.2)
+        _, meta = handle_request(req, shard_b)
+        assert meta["vm_cache"] == "hit" and "native_store" not in meta
+        assert shard_b.stats()["remote_errors"] == 0
+
+
 class TestHeatStore:
     def test_roundtrip_local(self, tmp_path):
         heat = HeatStore(LocalStore(tmp_path))
