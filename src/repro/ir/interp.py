@@ -428,10 +428,13 @@ class VirtualMachine:
 
     # -- public API --------------------------------------------------------
 
-    def _fill_initial(self) -> None:
-        """Set every buffer to its declared initial value (shared by
-        construction and :meth:`reset` so the two cannot drift)."""
+    def _fill_initial(self, kinds: tuple | None = None) -> None:
+        """Set every buffer (or every buffer of ``kinds``) to its declared
+        initial value (shared by construction and :meth:`reset` so the
+        two cannot drift)."""
         for decl in self.program.buffers.values():
+            if kinds is not None and decl.kind not in kinds:
+                continue
             buf = self._buffers[decl.name]
             if decl.init is not None:
                 flat = np.array(decl.init, dtype=decl.dtype).ravel()
@@ -444,7 +447,10 @@ class VirtualMachine:
 
     def reset(self) -> None:
         """Restore every buffer to its declared initial value, zero counts."""
-        self._fill_initial()
+        self._reset()
+
+    def _reset(self, kinds: tuple | None = None) -> None:
+        self._fill_initial(kinds)
         self._initialized = False
         for bucket in (self.counts.scalar, self.counts.vector, self.counts.forced):
             for f in fields(bucket):
@@ -503,7 +509,11 @@ class VirtualMachine:
                                    fused.nests_fused if fused else 0),
                                fusion_buffers_contracted=(
                                    fused.buffers_contracted if fused else 0)):
-                self.reset()
+                # <name>_run(init=1) resets every state and temp buffer
+                # in C, so a native run restores only the buffers it
+                # does not: inputs and outputs.
+                self._reset(("input", "output")
+                            if self.backend == "native" else None)
                 self.set_inputs(inputs)
                 prof = _vmprofile.active()
                 if prof is not None:

@@ -14,9 +14,9 @@ span site).  ``span()`` performs exactly one context-variable load when
 no trace is active and returns a shared no-op context manager —
 no allocation, no timestamps, nothing recorded.
 
-Crossing an execution boundary (the server's executor threads, the
-worker-pool IPC pipe) loses the context variable, so the context is made
-explicit: :func:`carrier` serializes the current position in the trace to
+Crossing an execution boundary (the worker-pool IPC pipe, an executor
+thread) loses the context variable, so the context is made explicit:
+:func:`carrier` serializes the current position in the trace to
 a plain dict that rides inside the request object, and :func:`resume`
 opens a collector on the far side that continues the same trace.  The
 far side ships its finished spans back as dicts (``meta["spans"]`` in

@@ -1,8 +1,8 @@
 """Work-conserving request coalescing for the serve front-end.
 
 With a warm kernel, the hot path is mostly per-request overhead —
-executor hop, worker IPC, VM lookup, a single-instance ``run()``.  This
-module amortizes it without delaying any request for companions: the
+worker IPC, VM lookup, a single-instance ``run()``.  This module
+amortizes it without delaying any request for companions: the
 queue keeps one slot per pool worker, and while a slot is free the
 oldest waiting bucket is dispatched.  ``run`` requests that queue up
 behind busy slots and share ``(model, generator, backend, steps)`` merge
@@ -38,6 +38,7 @@ from __future__ import annotations
 
 import asyncio
 import collections
+import contextvars
 import hashlib
 import time
 
@@ -83,14 +84,14 @@ class BatchQueue:
     """Coalesce compatible ``run`` requests into ``run_batch`` calls.
 
     ``submit()`` is the only entry point; it resolves to the same
-    ``(result, meta)`` pair ``pool.execute`` would return, or raises
+    ``(result, meta)`` pair ``pool.submit`` would return, or raises
     :class:`ServeError`.  Owned by :class:`~repro.serve.server.ReproServer`
     and driven entirely from its event loop.
     """
 
-    def __init__(self, pool_execute, metrics, max_batch: int, slots: int,
+    def __init__(self, pool_submit, metrics, max_batch: int, slots: int,
                  max_pending: int):
-        self._execute = pool_execute  # blocking (req) -> (result, meta)
+        self._submit = pool_submit  # async (req) -> (result, meta)
         self._metrics = metrics
         self.max_batch = max(int(max_batch), 1)
         self.slots = max(int(slots), 1)
@@ -105,10 +106,10 @@ class BatchQueue:
     # -- submission --------------------------------------------------------
 
     async def submit(self, req: dict) -> tuple[dict, dict]:
-        loop = asyncio.get_running_loop()
         if (self.max_batch <= 1 or req.get("coalesce", True) is not True
                 or not set(req) <= _COALESCIBLE_FIELDS):
-            return await loop.run_in_executor(None, self._execute, req)
+            return await self._submit(req)
+        loop = asyncio.get_running_loop()
         key = _batch_key(req)
         bucket = next((b for k, b in self._waiting
                        if k == key and len(b) < self.max_batch), None)
@@ -131,7 +132,11 @@ class BatchQueue:
         while self._in_flight < self.slots and self._waiting:
             self._in_flight += 1
             _, items = self._waiting.popleft()
-            asyncio.ensure_future(self._run_bucket(items))
+            # An empty context: the task calling _pump may be inside
+            # another request's open span, and this bucket's spans
+            # belong only to its own members' traces.
+            contextvars.Context().run(asyncio.ensure_future,
+                                      self._run_bucket(items))
 
     # -- execution and fan-out ---------------------------------------------
 
@@ -155,8 +160,7 @@ class BatchQueue:
                 req.get("_trace"), "queue.wait", t0_unix, delays[0],
                 coalesced=False)
             try:
-                result, meta = await loop.run_in_executor(
-                    None, self._execute, req)
+                result, meta = await self._submit(req)
             except BaseException as exc:  # noqa: BLE001 — must reach waiter
                 self._fail([future], exc)
                 return
@@ -184,8 +188,7 @@ class BatchQueue:
         if carrier_ctx is not None:
             batch_req["_trace"] = carrier_ctx
         try:
-            result, meta = await loop.run_in_executor(
-                None, self._execute, batch_req)
+            result, meta = await self._submit(batch_req)
         except BaseException as exc:  # noqa: BLE001 — must reach waiters
             self._fail([f for f, _, _, _ in items], exc)
             return

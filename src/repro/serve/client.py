@@ -16,7 +16,7 @@ import sys
 from pathlib import Path
 from typing import Any
 
-from repro.serve.protocol import MAX_LINE_BYTES, jsonable
+from repro.serve.protocol import MAX_LINE_BYTES, encode
 
 
 class ServeRequestError(Exception):
@@ -86,13 +86,13 @@ class ServeClient:
         """
         self._next_id += 1
         req = {"id": self._next_id, "op": op, **fields}
-        line = (json.dumps(jsonable(req), separators=(",", ":")) + "\n")
+        line = encode(req)
         attempts = 2 if self.retry_resets else 1
         for attempt in range(attempts):
             try:
                 self.connect()
                 assert self._sock is not None and self._file is not None
-                self._sock.sendall(line.encode())
+                self._sock.sendall(line)
                 reply = self._file.readline(MAX_LINE_BYTES)
                 if not reply:
                     raise ConnectionError("server closed the connection")

@@ -13,12 +13,22 @@ except the atomically-written artifact directory — which also holds the
 worker to build a program's library pays the compiler once and every
 other worker (and every restart) dlopens the same file.
 
+The pool is driven from the server's event loop, with no thread between
+a request and its worker: :meth:`WorkerPool.submit` writes the pickled
+request to the worker's pipe, and the reply is read by a reader callback
+(``loop.add_reader``, registered once per worker for its lifetime) that
+resolves the request's future.  Workers are forked at construction,
+before the loop starts serving; only the rare kill and respawn run on
+the loop's default executor, so a dying worker never stalls other
+connections.
+
 Dispatch policy:
 
 * a request takes an idle worker if one is free, otherwise waits in a
-  **bounded** backlog; when ``max_pending`` waiters are already queued
-  the request is shed immediately with a typed ``busy`` error (callers
-  get fast feedback instead of an unbounded queue hiding the overload);
+  **bounded** FIFO backlog; when ``max_pending`` waiters are already
+  queued the request is shed immediately with a typed ``busy`` error
+  (callers get fast feedback instead of an unbounded queue hiding the
+  overload);
 * every request has a deadline (``timeout_seconds``, per-request
   override allowed below the server cap): on expiry the worker is
   **killed** — mid-flight cancellation of arbitrary Python is only
@@ -33,9 +43,14 @@ Dispatch policy:
 
 from __future__ import annotations
 
+import asyncio
+import collections
+import functools
 import logging
 import multiprocessing
-import threading
+import os
+import pickle
+import struct
 from dataclasses import dataclass
 
 from repro.obs import tracing
@@ -132,16 +147,60 @@ class WorkerTimeout(Exception):
     """The request exceeded its deadline; the worker was killed."""
 
 
+#: Bytes read from a worker pipe per reader callback.
+_READ_CHUNK = 256 * 1024
+
+#: :func:`_unframe` result while a message is still arriving.
+_PARTIAL = object()
+
+
+def _frame(obj) -> bytes:
+    """``obj`` as one :class:`multiprocessing.connection.Connection`
+    message (big-endian length header, then the pickle) — the framing
+    the worker's ``conn.recv()`` reads.  Messages here stay far below
+    the 2 GiB beyond which that format switches to a longer header."""
+    payload = pickle.dumps(obj, pickle.HIGHEST_PROTOCOL)
+    return struct.pack("!i", len(payload)) + payload
+
+
+def _unframe(buf: bytearray):
+    """Pop one complete message off ``buf``, or return :data:`_PARTIAL`."""
+    if len(buf) < 4:
+        return _PARTIAL
+    end = 4 + struct.unpack_from("!i", buf)[0]
+    if len(buf) < end:
+        return _PARTIAL
+    obj = pickle.loads(buf[4:end])
+    del buf[:end]
+    return obj
+
+
+def _expire(reply: asyncio.Future, message: str) -> None:
+    if not reply.done():
+        reply.set_exception(WorkerTimeout(message))
+
+
 class _Worker:
-    """Parent-side handle on one worker process."""
+    """Parent-side handle on one worker process.
+
+    The parent end of the pipe is non-blocking and used only from the
+    pool's event loop: :meth:`send` writes a request and returns the
+    future that the reader callback resolves with the reply.
+    """
 
     def __init__(self, ctx, config: "PoolConfig"):
         parent, child = ctx.Pipe()
         self.conn = parent
+        self.fd = parent.fileno()
         self.proc = ctx.Process(
             target=_worker_main, args=(child, config), daemon=True)
         self.proc.start()
         child.close()
+        os.set_blocking(self.fd, False)
+        self.loop: asyncio.AbstractEventLoop | None = None
+        self.reply: asyncio.Future | None = None
+        self._inbox = bytearray()
+        self._outbox = memoryview(b"")
         # What the worker was last asked to do — read back when it has to
         # be killed, so the respawn log names the request that took it
         # down.  Trace ids propagate on *every* request (recording or
@@ -154,8 +213,21 @@ class _Worker:
     def pid(self) -> int | None:
         return self.proc.pid
 
-    def call(self, req: dict, timeout: float) -> dict:
-        """Blocking request/response with a hard deadline."""
+    # -- event-loop I/O ----------------------------------------------------
+
+    def watch(self, loop: asyncio.AbstractEventLoop) -> None:
+        """Register the pipe with ``loop`` for the worker's lifetime."""
+        self.loop = loop
+        loop.add_reader(self.fd, self._on_readable)
+
+    def unwatch(self) -> None:
+        if self.loop is not None and not self.loop.is_closed():
+            self.loop.remove_reader(self.fd)
+            self.loop.remove_writer(self.fd)
+
+    def send(self, req: dict) -> asyncio.Future:
+        """Write ``req`` without blocking; returns the reply future."""
+        assert self.loop is not None, "worker is not watched by a loop"
         self.last_op = req.get("op")
         ctx = req.get("_trace")
         if isinstance(ctx, dict):
@@ -163,17 +235,65 @@ class _Worker:
             self.last_span_id = ctx.get("parent_id")
         else:
             self.last_trace_id = self.last_span_id = None
+        data = _frame(req)
         try:
-            self.conn.send(req)
-        except (BrokenPipeError, OSError):
+            sent = os.write(self.fd, data)
+        except BlockingIOError:
+            sent = 0
+        except OSError:
             raise WorkerCrash(f"worker {self.pid} pipe closed on send")
-        if not self.conn.poll(timeout):
-            raise WorkerTimeout(
-                f"no response from worker {self.pid} within {timeout:g}s")
+        self.reply = self.loop.create_future()
+        if sent < len(data):
+            # Larger than the pipe buffer: the rest goes out as the
+            # worker drains it, never blocking the loop.
+            self._outbox = memoryview(data)[sent:]
+            self.loop.add_writer(self.fd, self._on_writable)
+        return self.reply
+
+    def _on_writable(self) -> None:
         try:
-            return self.conn.recv()
-        except (EOFError, OSError):
-            raise WorkerCrash(f"worker {self.pid} died mid-request")
+            sent = os.write(self.fd, self._outbox)
+        except BlockingIOError:
+            return
+        except OSError:
+            self._lost("pipe closed on send")
+            return
+        self._outbox = self._outbox[sent:]
+        if not self._outbox:
+            self.loop.remove_writer(self.fd)
+
+    def _on_readable(self) -> None:
+        try:
+            chunk = os.read(self.fd, _READ_CHUNK)
+        except BlockingIOError:
+            return
+        except OSError:
+            chunk = b""
+        if not chunk:
+            self._lost("died mid-request")
+            return
+        self._inbox += chunk
+        try:
+            resp = _unframe(self._inbox)
+        except Exception:  # noqa: BLE001 — a torn reply is a dead worker
+            log.exception("unreadable reply from worker pid=%s", self.pid)
+            self._lost("sent an unreadable reply")
+            return
+        if resp is not _PARTIAL:
+            reply, self.reply = self.reply, None
+            if reply is not None and not reply.done():
+                reply.set_result(resp)
+
+    def _lost(self, why: str) -> None:
+        """EOF or a failed read/write: the worker is gone (a later send
+        to it fails with a broken pipe)."""
+        self.unwatch()
+        self._outbox = memoryview(b"")
+        reply, self.reply = self.reply, None
+        if reply is not None and not reply.done():
+            reply.set_exception(WorkerCrash(f"worker {self.pid} {why}"))
+
+    # -- process lifecycle (blocking: executor threads only) ---------------
 
     def kill(self) -> None:
         try:
@@ -202,6 +322,11 @@ class _Worker:
             pass
 
 
+def _stop_all(workers: list[_Worker]) -> None:
+    for worker in workers:
+        worker.stop()
+
+
 @dataclass
 class PoolConfig:
     workers: int = 2
@@ -228,9 +353,14 @@ class PoolConfig:
 class WorkerPool:
     """Fixed-size pool of single-request-at-a-time worker processes.
 
-    Thread-safe: ``execute()`` may be called from many dispatcher threads
-    (the asyncio server funnels requests through its executor).  With
-    ``workers=0`` the pool runs requests inline in the calling thread —
+    Driven from one asyncio event loop: :meth:`submit`, :meth:`ping_all`
+    and :meth:`close` are coroutines, and the dispatch state — the idle
+    list, the FIFO backlog, each worker's pending reply — is touched only
+    on that loop, so it takes no locks.  The loop is bound on first use;
+    once it has closed, the pool may be driven from a new one (tests run
+    one pool through several ``asyncio.run`` calls, and the synchronous
+    ``with`` form closes it on a loop of its own).  With ``workers=0``
+    the pool runs requests in-process on the loop's default executor —
     no isolation, no timeout enforcement — which keeps unit tests and
     one-shot CLI usage cheap.
     """
@@ -239,17 +369,21 @@ class WorkerPool:
         self.config = config
         self.metrics = metrics
         self._ctx = _start_context()
+        self._workers: list[_Worker] = []  # every live worker, idle or busy
         self._idle: list[_Worker] = []
-        self._cond = threading.Condition()
-        self._pending = 0
+        self._waiters: collections.deque[asyncio.Future] = \
+            collections.deque()
+        self._loop: asyncio.AbstractEventLoop | None = None
+        # Respawns and stops nobody awaits, referenced until they finish.
+        self._background: set[asyncio.Future] = set()
         self._closed = False
         self._inline_cache = None
         if config.workers == 0:
             self._inline_cache = _build_cache(config)
             _configure_runtime(self._inline_cache, config)
         else:
-            for _ in range(config.workers):
-                self._idle.append(self._spawn())
+            self._workers = [self._spawn() for _ in range(config.workers)]
+            self._idle = list(self._workers)
 
     # -- lifecycle ---------------------------------------------------------
 
@@ -258,54 +392,123 @@ class WorkerPool:
             self.metrics.record_pool("spawned")
         return _Worker(self._ctx, self.config)
 
-    def close(self) -> None:
-        with self._cond:
-            if self._closed:
-                return
-            self._closed = True
-            workers, self._idle = self._idle, []
-            self._cond.notify_all()
-        for worker in workers:
-            worker.stop()
+    def _bind(self) -> None:
+        loop = asyncio.get_running_loop()
+        if self._loop is not loop:
+            self._loop = loop
+            for worker in self._workers:
+                worker.watch(loop)
+
+    async def close(self) -> None:
+        """Fail queued requests and stop idle workers; a busy worker is
+        stopped when its request finishes."""
+        if self._closed:
+            return
+        self._closed = True
+        while self._waiters:
+            waiter = self._waiters.popleft()
+            if not waiter.done():
+                waiter.set_exception(
+                    ServeError("shutting_down", "pool is closed"))
+        idle, self._idle = self._idle, []
+        for worker in idle:
+            worker.unwatch()
+            self._workers.remove(worker)
+        if idle:
+            await asyncio.get_running_loop().run_in_executor(
+                None, _stop_all, idle)
 
     def __enter__(self) -> "WorkerPool":
         return self
 
     def __exit__(self, *exc) -> None:
-        self.close()
+        asyncio.run(self.close())
 
     # -- dispatch ----------------------------------------------------------
 
-    def _acquire(self) -> _Worker:
-        with self._cond:
-            if self._closed:
-                raise ServeError("shutting_down", "pool is closed")
-            if not self._idle and self._pending >= self.config.max_pending:
-                if self.metrics is not None:
-                    self.metrics.record_pool("shed")
-                raise ServeError(
-                    "busy",
-                    f"all {self.config.workers} workers busy and "
-                    f"{self._pending} requests already waiting; retry later")
-            self._pending += 1
-            try:
-                while not self._idle:
-                    self._cond.wait()
-                    if self._closed:
-                        raise ServeError("shutting_down", "pool is closed")
-                return self._idle.pop()
-            finally:
-                self._pending -= 1
+    async def _acquire(self) -> _Worker:
+        if self._closed:
+            raise ServeError("shutting_down", "pool is closed")
+        if self._idle:
+            return self._idle.pop()
+        if len(self._waiters) >= self.config.max_pending:
+            if self.metrics is not None:
+                self.metrics.record_pool("shed")
+            raise ServeError(
+                "busy",
+                f"all {self.config.workers} workers busy and "
+                f"{len(self._waiters)} requests already waiting; "
+                "retry later")
+        waiter = self._loop.create_future()
+        self._waiters.append(waiter)
+        try:
+            return await waiter
+        except asyncio.CancelledError:
+            if waiter.cancelled():
+                try:
+                    self._waiters.remove(waiter)
+                except ValueError:
+                    pass  # already skipped by _release
+            elif waiter.exception() is None:
+                # Handed a worker in the same turn we were cancelled.
+                self._release(waiter.result())
+            raise
 
     def _release(self, worker: _Worker) -> None:
-        with self._cond:
-            if self._closed:
-                worker.stop()
+        """Hand ``worker`` to the oldest waiter, else back to idle."""
+        if self._closed:
+            worker.unwatch()
+            self._workers.remove(worker)
+            self._detach(self._loop.run_in_executor(None, worker.stop))
+            return
+        while self._waiters:
+            waiter = self._waiters.popleft()
+            if not waiter.done():
+                waiter.set_result(worker)
                 return
-            self._idle.append(worker)
-            self._cond.notify()
+        self._idle.append(worker)
 
-    def execute(self, req: dict) -> tuple[dict, dict]:
+    async def _call(self, worker: _Worker, req: dict,
+                    timeout: float) -> dict:
+        """One request/response on ``worker`` with a hard deadline."""
+        reply = worker.send(req)
+        timer = self._loop.call_later(
+            timeout, _expire, reply,
+            f"no response from worker {worker.pid} within {timeout:g}s")
+        try:
+            return await reply
+        finally:
+            timer.cancel()
+
+    def _recycle(self, worker: _Worker, cause: str) -> asyncio.Task:
+        """Kill ``worker`` and put a fresh one in its place.
+
+        The kill, join and fork run on the loop's default executor, so a
+        dying worker never stalls other connections; the returned task
+        finishes once the replacement is serving.
+        """
+        self._log_worker_death(worker, cause)
+        worker.unwatch()
+        self._workers.remove(worker)
+        return self._detach(self._loop.create_task(self._replace(worker)))
+
+    def _detach(self, future: asyncio.Future) -> asyncio.Future:
+        self._background.add(future)
+        future.add_done_callback(self._background.discard)
+        return future
+
+    async def _replace(self, worker: _Worker) -> None:
+        fresh = await self._loop.run_in_executor(None, self._respawn, worker)
+        if fresh is not None:
+            self._workers.append(fresh)
+            fresh.watch(self._loop)
+            self._release(fresh)
+
+    def _respawn(self, worker: _Worker) -> _Worker | None:
+        worker.kill()
+        return None if self._closed else self._spawn()
+
+    async def submit(self, req: dict) -> tuple[dict, dict]:
         """Run one request on the pool; returns ``(result, meta)``.
 
         Raises :class:`ServeError` for every failure mode (including the
@@ -313,34 +516,35 @@ class WorkerPool:
         """
         if self.config.workers == 0:
             from repro.serve.handlers import handle_request
-            return handle_request(req, self._inline_cache,
-                                  allow_debug=self.config.allow_debug,
-                                  shard=self.config.shard)
-
+            return await asyncio.get_running_loop().run_in_executor(
+                None, functools.partial(
+                    handle_request, req, self._inline_cache,
+                    allow_debug=self.config.allow_debug,
+                    shard=self.config.shard))
+        self._bind()
         timeout = self.config.timeout_seconds
         override = req.get("timeout_seconds")
         if isinstance(override, (int, float)) and 0 < override:
             timeout = min(float(override), timeout)
 
-        # execute() runs on the server's executor threads, where the
-        # dispatching task's contextvars are invisible — the trace
-        # position rides in req["_trace"] instead (see repro.obs).
+        # The pool's spans form their own collector, shipped back in
+        # meta["spans"] like the worker's; the trace position rides in
+        # req["_trace"] (see repro.obs).
         trace_ctx = req.get("_trace")
         root = tracing.resume(trace_ctx, "pool.execute", op=req.get("op"))
         with root:
-            result, meta = self._run_attempts(req, trace_ctx, timeout)
+            result, meta = await self._run_attempts(req, trace_ctx, timeout)
         local = root.export()
         if local:
             meta["spans"] = list(meta.get("spans", ())) + local
         return result, meta
 
-    def _run_attempts(self, req: dict, trace_ctx: dict | None,
-                      timeout: float) -> tuple[dict, dict]:
+    async def _run_attempts(self, req: dict, trace_ctx: dict | None,
+                            timeout: float) -> tuple[dict, dict]:
         last_crash: WorkerCrash | None = None
         for attempt in (1, 2):
             with tracing.span("pool.acquire"):
-                worker = self._acquire()
-            replacement = None
+                worker = await self._acquire()
             try:
                 dispatch = tracing.span(
                     "pool.dispatch", worker_pid=worker.pid, attempt=attempt)
@@ -352,20 +556,17 @@ class WorkerPool:
                         wire = dict(req)
                         wire["_trace"] = dict(trace_ctx,
                                               parent_id=dispatch.span_id)
-                    resp = worker.call(wire, timeout)
+                    resp = await self._call(worker, wire, timeout)
             except WorkerTimeout:
-                self._log_worker_death(worker, f"timeout after {timeout:g}s")
-                worker.kill()
-                replacement = self._spawn()
+                await asyncio.shield(self._recycle(
+                    worker, f"timeout after {timeout:g}s"))
                 if self.metrics is not None:
                     self.metrics.record_pool("timed_out")
                 raise ServeError(
                     "timeout",
                     f"request exceeded {timeout:g}s; worker was recycled")
             except WorkerCrash as exc:
-                self._log_worker_death(worker, f"crash ({exc})")
-                worker.kill()
-                replacement = self._spawn()
+                await asyncio.shield(self._recycle(worker, f"crash ({exc})"))
                 if self.metrics is not None:
                     self.metrics.record_pool("crashed")
                 last_crash = exc
@@ -374,9 +575,12 @@ class WorkerPool:
                         self.metrics.record_pool("retried")
                     continue
                 break
-            finally:
-                self._release(replacement if replacement is not None
-                              else worker)
+            except BaseException:
+                # Cancelled with the request in flight: the worker is
+                # still busy with it and cannot be handed on.
+                self._recycle(worker, "cancelled request")
+                raise
+            self._release(worker)
             if resp.get("ok"):
                 meta = resp.get("meta", {})
                 meta["attempts"] = attempt
@@ -397,19 +601,21 @@ class WorkerPool:
 
     # -- introspection -----------------------------------------------------
 
-    def ping_all(self) -> list[dict]:
+    async def ping_all(self) -> list[dict]:
         """Round-trip every worker once (warm-up / smoke check).
 
         Holds all workers while pinging so each worker is reached exactly
-        once (plain ``execute`` would keep re-grabbing the same idle
+        once (plain ``submit`` would keep re-grabbing the same idle
         worker off the LIFO free list).
         """
         if self.config.workers == 0:
-            result, _ = self.execute({"op": "ping"})
+            result, _ = await self.submit({"op": "ping"})
             return [result]
-        workers = [self._acquire() for _ in range(self.config.workers)]
+        self._bind()
+        workers = [await self._acquire() for _ in range(self.config.workers)]
         try:
-            return [w.call({"op": "ping"}, self.config.timeout_seconds)
+            return [(await self._call(w, {"op": "ping"},
+                                      self.config.timeout_seconds))
                     .get("result", {}) for w in workers]
         finally:
             for w in workers:

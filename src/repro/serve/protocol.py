@@ -95,30 +95,28 @@ class ServeError(Exception):
         return {"type": self.error_type, "message": self.message}
 
 
-def jsonable(value: Any) -> Any:
-    """Recursively convert handler results to JSON-encodable values.
+def _encode_default(value: Any) -> Any:
+    """``json.dumps`` hook for the values handlers return that JSON lacks.
 
     numpy arrays become nested lists; complex values become
     ``{"re": ..., "im": ...}`` objects (JSON has no complex literal);
-    numpy scalars collapse to Python scalars.
+    numpy scalars collapse to Python scalars.  Everything else is
+    serialized by ``json.dumps`` itself, in the same pass.
     """
     import numpy as np
-    if isinstance(value, dict):
-        return {str(k): jsonable(v) for k, v in value.items()}
-    if isinstance(value, (list, tuple)):
-        return [jsonable(v) for v in value]
     if isinstance(value, np.ndarray):
-        return jsonable(value.tolist())
+        return value.tolist()
     if isinstance(value, (complex, np.complexfloating)):
         return {"re": float(value.real), "im": float(value.imag)}
     if isinstance(value, np.generic):
         return value.item()
-    return value
+    raise TypeError(f"{type(value).__name__} is not JSON serializable")
 
 
 def encode(obj: dict) -> bytes:
     """Serialize one protocol object to its wire line."""
-    return (json.dumps(jsonable(obj), separators=(",", ":")) + "\n").encode()
+    return (json.dumps(obj, separators=(",", ":"), default=_encode_default)
+            + "\n").encode()
 
 
 def decode_request(line: bytes) -> dict:

@@ -10,11 +10,13 @@ One TCP listener speaks both transports:
   and closes — enough for ``curl`` and load-balancer health checks
   without an HTTP dependency.
 
-The event loop never executes model work itself: requests are handed to
-the :class:`~repro.serve.pool.WorkerPool` via the default thread
-executor, so slow compiles stall neither the accept loop nor other
-connections.  ``metrics``, ``ping`` and ``shutdown`` are answered by the
-front-end directly — health checks must not consume workers.
+The event loop never executes model work itself: it awaits the
+:class:`~repro.serve.pool.WorkerPool`, which writes each request to a
+worker process's pipe and is woken by that pipe's reader callback, so
+slow compiles stall neither the accept loop nor other connections, and
+no thread sits between a request and its worker.  ``metrics``, ``ping``
+and ``shutdown`` are answered by the front-end directly — health checks
+must not consume workers.
 """
 
 from __future__ import annotations
@@ -114,19 +116,20 @@ class ReproServer:
     # -- lifecycle ---------------------------------------------------------
 
     def start_pool(self) -> None:
-        """Spawn and warm the worker pool (synchronous, fork-safe to call
-        from the main thread before the event loop starts)."""
+        """Fork the worker pool (synchronous, fork-safe to call from the
+        main thread before the event loop starts)."""
         if self.pool is None:
             self.pool = WorkerPool(self.config.pool_config(), self.metrics)
-            self.pool.ping_all()
 
     async def start(self) -> None:
         self.start_pool()
+        if self.pool is not None:
+            await self.pool.ping_all()
         if self.config.max_batch > 1 and self.batcher is None:
             from repro.serve.batching import BatchQueue
             assert self.pool is not None
             self.batcher = BatchQueue(
-                self.pool.execute, self.metrics,
+                self.pool.submit, self.metrics,
                 max_batch=self.config.max_batch, slots=self.config.workers,
                 max_pending=self.config.max_pending)
         self._server = await asyncio.start_server(
@@ -150,8 +153,7 @@ class ReproServer:
             self._server.close()
             await self._server.wait_closed()
         if self.pool is not None:
-            await asyncio.get_running_loop().run_in_executor(
-                None, self.pool.close)
+            await self.pool.close()
         self._stopped.set()
 
     # -- dispatch ----------------------------------------------------------
@@ -233,7 +235,7 @@ class ReproServer:
             # the batcher forwards anything it can't merge untouched.
             return await self.batcher.submit(req)
         assert self.pool is not None
-        return await loop.run_in_executor(None, self.pool.execute, req)
+        return await self.pool.submit(req)
 
     def _finish_trace(self, root, extra_spans) -> list[dict]:
         """Close out one request's trace: graft the spans shipped back in

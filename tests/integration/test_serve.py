@@ -8,6 +8,7 @@ across a full server restart, and the HTTP shim.
 
 import json
 import socket
+import threading
 import urllib.error
 import urllib.request
 
@@ -95,6 +96,49 @@ class TestServeIntegration:
                           for r in snapshot["pool_events_total"]}
                 assert events.get("timed_out") == 1
                 assert events.get("spawned") == 2
+
+    def test_loop_serves_other_connections_during_a_respawn(
+            self, tmp_path, monkeypatch):
+        # The kill of a timed-out worker blocks until released: the ping
+        # and the run below can only answer if it runs off the event loop.
+        from repro.serve import pool as pool_module
+        killing, release = threading.Event(), threading.Event()
+        real_kill = pool_module._Worker.kill
+
+        def blocked_kill(worker):
+            killing.set()
+            release.wait(60)
+            real_kill(worker)
+
+        monkeypatch.setattr(pool_module._Worker, "kill", blocked_kill)
+        config = ServeConfig(workers=2, cache_dir=str(tmp_path / "c"),
+                             timeout_seconds=30.0, allow_debug=True)
+        outcome: list[str] = []
+        with ServerThread(config) as thread:
+            port = thread.server.port
+
+            def timed_out() -> None:
+                with ServeClient(port=port) as client:
+                    try:
+                        client.request("sleep", seconds=30,
+                                       timeout_seconds=0.5)
+                    except ServeRequestError as exc:
+                        outcome.append(exc.error_type)
+
+            victim = threading.Thread(target=timed_out)
+            victim.start()
+            try:
+                assert killing.wait(20), "the timed-out worker was not killed"
+                with ServeClient(port=port, timeout=20,
+                                 retry_resets=False) as client:
+                    assert client.ping()["pong"] is True
+                    result = client.run("Motivating", include_outputs=False)
+                    assert result["model"] == "Convolution"
+                assert victim.is_alive() and not outcome
+            finally:
+                release.set()
+                victim.join(30)
+        assert outcome == ["timeout"]
 
     def test_restart_serves_compile_from_artifact_cache(self, tmp_path):
         cache_dir = str(tmp_path / "persistent")
@@ -198,7 +242,6 @@ class TestServeIntegration:
             thread.stop()
 
     def test_concurrent_connections(self, server):
-        import threading
         port = server.server.port
         shas: list[str] = []
         errors: list[BaseException] = []

@@ -7,6 +7,7 @@ execution — with sane timings, and tracing must stay strictly opt-in:
 untraced requests carry only a ``trace_id`` breadcrumb.
 """
 
+import asyncio
 import logging
 
 import pytest
@@ -128,10 +129,10 @@ def test_worker_respawn_log_names_last_trace(caplog):
     with WorkerPool(config, MetricsRegistry()) as pool:
         with caplog.at_level(logging.WARNING, logger="repro.serve.pool"):
             with pytest.raises(Exception):
-                pool.execute({"op": "sleep", "seconds": 0, "exit": True,
-                              "_trace": {"trace_id": "feedfacefeedface",
-                                         "parent_id": "cafe",
-                                         "record": False}})
+                asyncio.run(pool.submit(
+                    {"op": "sleep", "seconds": 0, "exit": True,
+                     "_trace": {"trace_id": "feedfacefeedface",
+                                "parent_id": "cafe", "record": False}}))
     messages = [r.getMessage() for r in caplog.records
                 if "killing worker" in r.getMessage()]
     assert messages, "expected a respawn warning"

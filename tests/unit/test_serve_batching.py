@@ -12,6 +12,7 @@ import threading
 
 import pytest
 
+from repro.obs import tracing
 from repro.serve.batching import BatchQueue, _batch_key
 from repro.serve.cache import ArtifactCache
 from repro.serve.client import ServeClient, ServeRequestError
@@ -100,23 +101,22 @@ class TestBatchKey:
 class _FakePool:
     """Records every request; answers run and run_batch shapes.
 
-    A call blocks while ``gate`` is clear, so a test can hold worker
+    A call waits while ``gate`` is clear, so a test can hold worker
     slots busy for as long as it likes; ``entered`` counts calls that
-    reached the pool.  No assertion depends on timing.
+    reached the pool.  Everything runs on the test's event loop, and no
+    assertion depends on timing.
     """
 
     def __init__(self):
         self.requests: list[dict] = []
-        self.lock = threading.Lock()
-        self.gate = threading.Event()
+        self.gate = asyncio.Event()
         self.gate.set()
-        self.entered = threading.Semaphore(0)
+        self.entered = asyncio.Semaphore(0)
 
-    def execute(self, req):
-        with self.lock:
-            self.requests.append(req)
+    async def submit(self, req):
+        self.requests.append(req)
         self.entered.release()
-        assert self.gate.wait(30), "test never released the pool gate"
+        await asyncio.wait_for(self.gate.wait(), 30)
         if req["op"] == "run_batch":
             n = len(req["instances"])
             return ({"model": "M", "executed": n, "batch": n,
@@ -133,8 +133,7 @@ class _FakePool:
                 {"worker_pid": 1})
 
     async def wait_entered(self) -> None:
-        assert await asyncio.get_running_loop().run_in_executor(
-            None, self.entered.acquire, True, 30)
+        await asyncio.wait_for(self.entered.acquire(), 30)
 
 
 def _drive(coro):
@@ -142,7 +141,7 @@ def _drive(coro):
 
 
 def _queue(pool, metrics=None, max_batch=8, slots=1, max_pending=16):
-    return BatchQueue(pool.execute, metrics or MetricsRegistry(),
+    return BatchQueue(pool.submit, metrics or MetricsRegistry(),
                       max_batch=max_batch, slots=slots,
                       max_pending=max_pending)
 
@@ -288,8 +287,8 @@ class TestBatchQueuePolicy:
 
     def test_per_instance_failure_raises_only_that_waiter(self):
         class FailSlotPool(_FakePool):
-            def execute(self, req):
-                result, meta = super().execute(req)
+            async def submit(self, req):
+                result, meta = await super().submit(req)
                 if req["op"] == "run_batch":
                     result["results"][1] = {
                         "ok": False, "error_type": "bad_request",
@@ -305,6 +304,27 @@ class TestBatchQueuePolicy:
         assert bad.error_type == "bad_request"
         assert good0[0]["output_sha256"] == "sha0"
         assert good2[0]["output_sha256"] == "sha2"
+
+    def test_bucket_runs_outside_the_submitters_span(self):
+        # The pool is awaited on the loop: a bucket task must not inherit
+        # the open span of whichever request happened to dispatch it, or
+        # another request's pool spans would land in that trace.
+        seen = []
+
+        class SpanPool(_FakePool):
+            async def submit(self, req):
+                seen.append(tracing.current())
+                return await super().submit(req)
+
+        pool = SpanPool()
+
+        async def scenario():
+            with tracing.start_trace("request"):
+                return await _queue(pool).submit({"op": "run", "model": "M"})
+
+        result, _ = _drive(scenario())
+        assert result["output_sha256"] == "solo"
+        assert seen == [None]
 
     def test_occupancy_and_delay_metrics_recorded(self):
         metrics = MetricsRegistry()
